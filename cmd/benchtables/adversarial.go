@@ -10,7 +10,7 @@ import (
 
 	ph "github.com/phishinghook/phishinghook"
 	"github.com/phishinghook/phishinghook/internal/dataset"
-	"github.com/phishinghook/phishinghook/internal/nn/flat"
+	"github.com/phishinghook/phishinghook/internal/eval"
 )
 
 // adversarialModel is one model's red-team scorecard in
@@ -131,7 +131,7 @@ func runAdversarial(seed int64, path string) error {
 				}
 				labels = append(labels, lab)
 			}
-			return flat.AUC(scores, labels), nil
+			return eval.AUC(scores, labels), nil
 		}
 		baseAUC, err := aucOf(baseline)
 		if err != nil {

@@ -31,7 +31,7 @@ func main() {
 	backfillOut := flag.String("backfill", "", "write backfill-vs-watcher throughput benchmarks over a rate-limited RPC plane to this JSON file and exit (fails if the multi-endpoint speedup is below 2x)")
 	clusterOut := flag.String("cluster", "", "write scoring-cluster benchmarks (1 vs 2 vs 4 rate-limited replicas behind the consistent-hash router) to this JSON file and exit (fails below a 3x 4-replica speedup or if the cluster-wide cache hit rate drops)")
 	txstreamOut := flag.String("txstream", "", "write tx-stream benchmarks (pending-tx item rate vs the contract watcher on one rate-limited endpoint, cached fused-score allocs, kill/resume exactly-once) to this JSON file and exit (fails below a 5x item-rate speedup)")
-	nnOut := flag.String("nn", "", "write deep-model serving benchmarks (closure reference vs compiled flat program vs gated int8 tier) to this JSON file and exit (fails if the flat path allocates, float parity exceeds 1e-6, an int8 candidate misses the accuracy gate, or the geomean flat speedup regresses below its floor)")
+	nnOut := flag.String("nn", "", "write deep-model serving benchmarks (closure reference vs compiled flat program) to this JSON file and exit (fails if the flat path allocates, float parity exceeds 1e-6, or the geomean flat speedup regresses below its floor)")
 	adversarialOut := flag.String("adversarial", "", "write adversarial-robustness benchmarks (greedy bytecode-evasion attack vs raw-feature baselines and their canonical+augmented hardened twins) to this JSON file and exit (fails if the baseline resists the attack, the hardened model does not at least halve the evasion rate, clean holdout AUC regresses beyond 0.01, or the cached hardened Score path allocates)")
 	chaosOut := flag.String("chaos", "", "write chaos-soak verdicts (pipelines under deterministic fault schedules: lost/duplicate alerts, breaker trips, post-blackout recovery, watchdog ejections) to this JSON file and exit (fails on any lost or duplicate alert, a missed breaker trip, recovery beyond 2 polling windows, or an unejected hung replica)")
 	flag.Parse()

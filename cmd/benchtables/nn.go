@@ -6,11 +6,11 @@ import (
 	"math"
 	"os"
 	"runtime"
+	"strings"
 	"testing"
 
 	"github.com/phishinghook/phishinghook/internal/dataset"
 	"github.com/phishinghook/phishinghook/internal/models"
-	"github.com/phishinghook/phishinghook/internal/nn/flat"
 	"github.com/phishinghook/phishinghook/internal/synth"
 )
 
@@ -26,17 +26,12 @@ var nnModels = []string{
 type nnEntry struct {
 	// RefNsPerOp is the closure-forward (training-path) ScoreFeatures.
 	RefNsPerOp float64 `json:"ref_ns_per_op"`
-	// FlatNsPerOp is the compiled f64 program.
-	FlatNsPerOp   float64 `json:"flat_ns_per_op"`
-	FlatAllocsOp  int64   `json:"flat_allocs_per_op"`
-	FlatBytesOp   int64   `json:"flat_bytes_per_op"`
-	Speedup       float64 `json:"speedup"`
-	MaxAbsDeltaP  float64 `json:"max_abs_delta_p"`
-	QuantNsPerOp  float64 `json:"quant_ns_per_op"`
-	QuantSpeedup  float64 `json:"quant_speedup"`
-	QuantAllocsOp int64   `json:"quant_allocs_per_op"`
-	// Quant is the int8 accuracy-gate report; Quant.Pass gates CI.
-	Quant flat.Report `json:"quant"`
+	// FlatNsPerOp is the compiled flat program.
+	FlatNsPerOp  float64 `json:"flat_ns_per_op"`
+	FlatAllocsOp int64   `json:"flat_allocs_per_op"`
+	FlatBytesOp  int64   `json:"flat_bytes_per_op"`
+	Speedup      float64 `json:"speedup"`
+	MaxAbsDeltaP float64 `json:"max_abs_delta_p"`
 }
 
 // nnBenchConfig records the serving-bench model dimensions inside the JSON
@@ -92,10 +87,9 @@ func nnCorpus(seed int64, n int) *dataset.Dataset {
 }
 
 // runNNBench measures the deep-model serving path: closure reference vs
-// compiled flat program vs the gated int8 tier, per model, and writes
-// BENCH_nn.json. It fails when the flat path allocates, when float parity
-// exceeds 1e-6, when any int8 candidate misses the accuracy gate, or when
-// the geomean flat speedup drops below nnGeomeanFloor.
+// compiled flat program, per model, and writes BENCH_nn.json. It fails when
+// the flat path allocates, when float parity exceeds 1e-6, or when the
+// geomean flat speedup drops below nnGeomeanFloor.
 func runNNBench(seed int64, path string) error {
 	// The serving-bench config (recorded in the artifact): a reduced model
 	// scale so the whole suite fits a CI budget. The flat-vs-closure ratio
@@ -149,10 +143,8 @@ func runNNBench(seed int64, path string) error {
 		}
 		fz := m.Featurizer()
 		xs := make([][]float64, len(hold.Samples))
-		labels := make([]int, len(hold.Samples))
 		for i, s := range hold.Samples {
 			xs[i] = fz.Transform(s.Bytecode)
-			labels[i] = int(s.Label)
 		}
 
 		var e nnEntry
@@ -187,21 +179,6 @@ func runNNBench(seed int64, path string) error {
 		e.Speedup = e.RefNsPerOp / e.FlatNsPerOp
 		logSpeedups += math.Log(e.Speedup)
 
-		rep, err := models.QuantizeFlat(m, flat.Int8, xs, labels, flat.DefaultGate)
-		e.Quant = rep
-		if err != nil {
-			failures = append(failures, fmt.Sprintf(
-				"%s: int8 gate: max|Δp|=%.4f aucΔ=%.4f", name, rep.MaxAbsDeltaP, math.Abs(rep.AUCDelta)))
-		} else {
-			e.QuantNsPerOp, e.QuantAllocsOp, _, err = bench(func() (float64, error) {
-				return m.ScoreFeatures(pick())
-			})
-			if err != nil {
-				return fmt.Errorf("%s: quant bench: %w", name, err)
-			}
-			e.QuantSpeedup = e.RefNsPerOp / e.QuantNsPerOp
-		}
-
 		if e.FlatAllocsOp > 0 {
 			failures = append(failures, fmt.Sprintf("%s: flat path allocates %d objects/op, want 0", name, e.FlatAllocsOp))
 		}
@@ -209,9 +186,8 @@ func runNNBench(seed int64, path string) error {
 			failures = append(failures, fmt.Sprintf("%s: float parity max|Δp|=%g exceeds 1e-6", name, e.MaxAbsDeltaP))
 		}
 		report.Models[name] = e
-		fmt.Printf("%-18s ref %12.0f ns/op   flat %10.0f ns/op (%5.1fx, %d allocs)   int8 %10.0f ns/op (%5.1fx, pass=%v)   max|Δp|=%.2g\n",
-			name, e.RefNsPerOp, e.FlatNsPerOp, e.Speedup, e.FlatAllocsOp,
-			e.QuantNsPerOp, e.QuantSpeedup, rep.Pass, e.MaxAbsDeltaP)
+		fmt.Printf("%-18s ref %12.0f ns/op   flat %10.0f ns/op (%5.1fx, %d allocs)   max|Δp|=%.2g\n",
+			name, e.RefNsPerOp, e.FlatNsPerOp, e.Speedup, e.FlatAllocsOp, e.MaxAbsDeltaP)
 	}
 	report.GeomeanSpeedup = math.Exp(logSpeedups / float64(len(nnModels)))
 	fmt.Printf("geomean flat speedup: %.1fx over %d models\n", report.GeomeanSpeedup, len(nnModels))
@@ -230,18 +206,7 @@ func runNNBench(seed int64, path string) error {
 			report.GeomeanSpeedup, nnGeomeanFloor))
 	}
 	if len(failures) > 0 {
-		return fmt.Errorf("nn serving regression:\n  %s", joinLines(failures))
+		return fmt.Errorf("nn serving regression:\n  %s", strings.Join(failures, "\n  "))
 	}
 	return nil
-}
-
-func joinLines(lines []string) string {
-	out := ""
-	for i, l := range lines {
-		if i > 0 {
-			out += "\n  "
-		}
-		out += l
-	}
-	return out
 }

@@ -102,6 +102,22 @@ func TestAUTBoundedProperty(t *testing.T) {
 	}
 }
 
+func TestAUC(t *testing.T) {
+	labels := []int{0, 0, 1, 1}
+	if got := AUC([]float64{0.1, 0.2, 0.8, 0.9}, labels); got != 1 {
+		t.Fatalf("perfect ranking AUC = %v, want 1", got)
+	}
+	if got := AUC([]float64{0.9, 0.8, 0.2, 0.1}, labels); got != 0 {
+		t.Fatalf("reversed ranking AUC = %v, want 0", got)
+	}
+	if got := AUC([]float64{0.5, 0.5, 0.5, 0.5}, labels); got != 0.5 {
+		t.Fatalf("all-tied AUC = %v, want 0.5", got)
+	}
+	if got := AUC([]float64{0.1, 0.9}, []int{1, 1}); got != 0.5 {
+		t.Fatalf("single-class AUC = %v, want 0.5", got)
+	}
+}
+
 // testDataset builds a small synthetic corpus.
 func testDataset(t testing.TB, n int, seed int64) *dataset.Dataset {
 	t.Helper()

@@ -4,7 +4,10 @@
 // AUT (Fig. 8), and train/inference timing capture.
 package eval
 
-import "fmt"
+import (
+	"fmt"
+	"sort"
+)
 
 // Metrics holds the four headline scores plus the confusion matrix counts.
 // The positive class is phishing (label 1), matching the paper.
@@ -84,4 +87,41 @@ func AUT(series []float64) float64 {
 		area += (series[i-1] + series[i]) / 2
 	}
 	return area / float64(n-1)
+}
+
+// AUC computes the area under the ROC curve by the rank-sum (Mann-Whitney)
+// identity with tie-averaged ranks.
+func AUC(scores []float64, labels []int) float64 {
+	n := len(scores)
+	idx := make([]int, n)
+	for i := range idx {
+		idx[i] = i
+	}
+	sort.Slice(idx, func(a, b int) bool { return scores[idx[a]] < scores[idx[b]] })
+	ranks := make([]float64, n)
+	for i := 0; i < n; {
+		j := i
+		for j+1 < n && scores[idx[j+1]] == scores[idx[i]] {
+			j++
+		}
+		avg := float64(i+j)/2 + 1 // 1-based tie-averaged rank
+		for k := i; k <= j; k++ {
+			ranks[idx[k]] = avg
+		}
+		i = j + 1
+	}
+	var rankSum float64
+	var np, nn int
+	for i, l := range labels {
+		if l == 1 {
+			rankSum += ranks[i]
+			np++
+		} else {
+			nn++
+		}
+	}
+	if np == 0 || nn == 0 {
+		return 0.5
+	}
+	return (rankSum - float64(np)*float64(np+1)/2) / (float64(np) * float64(nn))
 }

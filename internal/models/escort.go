@@ -180,7 +180,7 @@ func (m *escort) scoreRef(x []float64) (float64, error) {
 	return nn.Softmax(logits)[1], nil
 }
 
-// scoreWith implements flatModel.
+// scoreWith scores x through the compiled program p.
 func (m *escort) scoreWith(p *flat.Program, x []float64) (float64, error) {
 	if len(x) == 0 {
 		return 0, ErrEmptyInput

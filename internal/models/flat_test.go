@@ -17,8 +17,8 @@ var deepSpecNames = []string{
 }
 
 // fitDeep trains a deep model on a small synthetic corpus and returns it
-// with a transformed holdout (feature vectors + labels).
-func fitDeep(t testing.TB, name string, seed int64) (Scorer, [][]float64, []int) {
+// with a transformed holdout.
+func fitDeep(t testing.TB, name string, seed int64) (Scorer, [][]float64) {
 	t.Helper()
 	spec, err := SpecByName(name)
 	if err != nil {
@@ -34,16 +34,21 @@ func fitDeep(t testing.TB, name string, seed int64) (Scorer, [][]float64, []int)
 	hold := smallDataset(t, 16, seed+100)
 	fz := m.Featurizer()
 	xs := make([][]float64, len(hold.Samples))
-	labels := make([]int, len(hold.Samples))
 	for i, s := range hold.Samples {
 		xs[i] = fz.Transform(s.Bytecode)
-		labels[i] = int(s.Label)
 	}
-	return m, xs, labels
+	return m, xs
+}
+
+// hasProgram reports whether a deep model has a compiled flat program
+// installed.
+func hasProgram(m Scorer) bool {
+	fs, ok := m.(interface{ program() *flat.Program })
+	return ok && fs.program() != nil
 }
 
 // TestFlatParityAllDeepModels: after Fit, ScoreFeatures serves through the
-// compiled F64 program and must match the closure reference to 1e-6 on
+// compiled program and must match the closure reference to 1e-6 on
 // every deep model (the ISSUE acceptance bound; in practice the paths agree
 // to rounding error).
 func TestFlatParityAllDeepModels(t *testing.T) {
@@ -51,9 +56,9 @@ func TestFlatParityAllDeepModels(t *testing.T) {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
-			m, xs, _ := fitDeep(t, name, 11)
-			if prec, ok := FlatPrecision(m); !ok || prec != flat.F64 {
-				t.Fatalf("FlatPrecision = %v, %v; want f64 program after Fit", prec, ok)
+			m, xs := fitDeep(t, name, 11)
+			if !hasProgram(m) {
+				t.Fatal("no compiled flat program installed after Fit")
 			}
 			for i, x := range xs {
 				got, err := m.ScoreFeatures(x)
@@ -78,10 +83,10 @@ func TestFlatParityAllDeepModels(t *testing.T) {
 // TestFlatZeroAlloc: the compiled forward must not allocate per call once
 // the scratch pool is warm — the tentpole's core guarantee.
 func TestFlatZeroAlloc(t *testing.T) {
-	for _, name := range []string{"ESCORT", "SCSGuard", "GPT-2α"} {
+	for _, name := range []string{"ESCORT", "SCSGuard", "GPT-2α", "ECA+EfficientNet", "ViT+R2D2"} {
 		name := name
 		t.Run(name, func(t *testing.T) {
-			m, xs, _ := fitDeep(t, name, 13)
+			m, xs := fitDeep(t, name, 13)
 			x := xs[0]
 			if _, err := m.ScoreFeatures(x); err != nil { // warm the pool
 				t.Fatal(err)
@@ -97,7 +102,7 @@ func TestFlatZeroAlloc(t *testing.T) {
 // callers through one program (meaningful under -race; the scratch pool
 // must hand each goroutine its own arena).
 func TestFlatConcurrentScoreFeatures(t *testing.T) {
-	m, xs, _ := fitDeep(t, "SCSGuard", 17)
+	m, xs := fitDeep(t, "SCSGuard", 17)
 	want := make([]float64, len(xs))
 	for i, x := range xs {
 		var err error
@@ -128,56 +133,6 @@ func TestFlatConcurrentScoreFeatures(t *testing.T) {
 	wg.Wait()
 }
 
-// TestQuantizeFlat: the int8 tier installs only when it clears the
-// accuracy gate; a failing gate leaves the serving program untouched and
-// surfaces a *flat.GateError.
-func TestQuantizeFlat(t *testing.T) {
-	m, xs, labels := fitDeep(t, "ESCORT", 19)
-
-	// Impossible gate: max|Δp| can never be negative, so this must refuse.
-	rep, err := QuantizeFlat(m, flat.Int8, xs, labels, flat.Gate{MaxAbsDeltaP: -1, MaxAUCDelta: 1})
-	var ge *flat.GateError
-	if !errors.As(err, &ge) {
-		t.Fatalf("impossible gate: err = %v, want *flat.GateError", err)
-	}
-	if rep.Pass || ge.Report.Pass {
-		t.Fatalf("impossible gate reported Pass: %+v", rep)
-	}
-	if prec, ok := FlatPrecision(m); !ok || prec != flat.F64 {
-		t.Fatalf("failed gate must keep the f64 program, serving at %v (ok=%v)", prec, ok)
-	}
-
-	// Permissive gate: install and keep scoring sanely.
-	rep, err = QuantizeFlat(m, flat.Int8, xs, labels, flat.Gate{MaxAbsDeltaP: 0.5, MaxAUCDelta: 0.5})
-	if err != nil {
-		t.Fatalf("permissive gate: %v", err)
-	}
-	if !rep.Pass || rep.Precision != "int8" || rep.Samples != len(xs) {
-		t.Fatalf("report: %+v", rep)
-	}
-	if prec, ok := FlatPrecision(m); !ok || prec != flat.Int8 {
-		t.Fatalf("after install FlatPrecision = %v (ok=%v), want int8", prec, ok)
-	}
-	for i, x := range xs {
-		got, err := m.ScoreFeatures(x)
-		if err != nil {
-			t.Fatalf("sample %d: quantized score: %v", i, err)
-		}
-		ref, _ := ReferenceScoreFeatures(m, x)
-		if d := math.Abs(got - ref); d > 0.5 {
-			t.Fatalf("sample %d: quantized %v vs reference %v", i, got, ref)
-		}
-	}
-
-	// Misuse guards.
-	if _, err := QuantizeFlat(m, flat.F64, xs, labels, flat.DefaultGate); err == nil {
-		t.Fatal("QuantizeFlat accepted the lossless tier")
-	}
-	if _, err := QuantizeFlat(m, flat.Int8, nil, nil, flat.DefaultGate); err == nil {
-		t.Fatal("QuantizeFlat accepted an empty holdout")
-	}
-}
-
 // TestScoreFeaturesEmptyInput: the empty feature vector is a typed error
 // on every deep model, through both the flat and the reference paths —
 // this is the regression test for the MeanPool len-0 panic.
@@ -186,7 +141,7 @@ func TestScoreFeaturesEmptyInput(t *testing.T) {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
-			m, _, _ := fitDeep(t, name, 23)
+			m, _ := fitDeep(t, name, 23)
 			if _, err := m.ScoreFeatures(nil); !errors.Is(err, ErrEmptyInput) {
 				t.Fatalf("flat path: err = %v, want ErrEmptyInput", err)
 			}
@@ -205,7 +160,7 @@ func TestGobRoundTripRecompilesFlat(t *testing.T) {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
-			m, xs, _ := fitDeep(t, name, 29)
+			m, xs := fitDeep(t, name, 29)
 			blob, err := m.(Persistable).MarshalBinary()
 			if err != nil {
 				t.Fatalf("MarshalBinary: %v", err)
@@ -215,8 +170,8 @@ func TestGobRoundTripRecompilesFlat(t *testing.T) {
 			if err := fresh.(Persistable).UnmarshalBinary(blob); err != nil {
 				t.Fatalf("UnmarshalBinary: %v", err)
 			}
-			if prec, ok := FlatPrecision(fresh); !ok || prec != flat.F64 {
-				t.Fatalf("restored model FlatPrecision = %v (ok=%v), want f64", prec, ok)
+			if !hasProgram(fresh) {
+				t.Fatal("no compiled flat program installed after UnmarshalBinary")
 			}
 			for i, x := range xs {
 				want, _ := m.ScoreFeatures(x)
@@ -235,7 +190,7 @@ func TestGobRoundTripRecompilesFlat(t *testing.T) {
 // TestUnmarshalCorruptGob: garbage and cross-architecture blobs must fail
 // with errors, never panic, and shape drift surfaces *ShapeMismatchError.
 func TestUnmarshalCorruptGob(t *testing.T) {
-	m, _, _ := fitDeep(t, "ESCORT", 31)
+	m, _ := fitDeep(t, "ESCORT", 31)
 	blob, err := m.(Persistable).MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
@@ -257,7 +212,7 @@ func TestUnmarshalCorruptGob(t *testing.T) {
 	t.Run("shape drift", func(t *testing.T) {
 		// ESCORT's dims are architecture-fixed, so drift needs a model
 		// whose parameter shapes follow NeuralConfig.
-		lm, _, _ := fitDeep(t, "GPT-2α", 31)
+		lm, _ := fitDeep(t, "GPT-2α", 31)
 		lmBlob, err := lm.(Persistable).MarshalBinary()
 		if err != nil {
 			t.Fatal(err)
@@ -278,7 +233,7 @@ func TestUnmarshalCorruptGob(t *testing.T) {
 	t.Run("cross model", func(t *testing.T) {
 		// An SCSGuard blob fed to an ESCORT instance: param mismatch, not
 		// a panic.
-		other, _, _ := fitDeep(t, "SCSGuard", 31)
+		other, _ := fitDeep(t, "SCSGuard", 31)
 		oblob, err := other.(Persistable).MarshalBinary()
 		if err != nil {
 			t.Fatal(err)

@@ -7,12 +7,12 @@ import (
 	"github.com/phishinghook/phishinghook/internal/nn/flat"
 )
 
-// flatServing is embedded by every deep model: the hot-swappable compiled
-// inference program ScoreFeatures executes instead of the closure forward.
-// The pointer is atomic so QuantizeFlat/CompileFlat can retier a model that
-// is already serving concurrent traffic. It is deliberately outside the
-// models' gob state — programs are recompiled from the restored weights
-// after UnmarshalBinary, exactly like ensemble.Flat.
+// flatServing is embedded by every deep model: the compiled inference
+// program ScoreFeatures executes instead of the closure forward. The
+// pointer is atomic so a program can be installed while the model serves
+// concurrent traffic. It is deliberately outside the models' gob state —
+// programs are recompiled from the restored weights after UnmarshalBinary,
+// exactly like ensemble.Flat.
 type flatServing struct {
 	flatProg atomic.Pointer[flat.Program]
 }
@@ -21,94 +21,27 @@ func (f *flatServing) program() *flat.Program     { return f.flatProg.Load() }
 func (f *flatServing) setProgram(p *flat.Program) { f.flatProg.Store(p) }
 
 // flatModel is the contract a deep model fulfils to serve through a
-// compiled program: it records its architecture into a Builder, runs its
-// model-level scoring protocol (e.g. β window averaging) over an explicit
-// program, and keeps the closure forward as the float64 reference.
+// compiled program: it records its architecture into a Builder and keeps
+// the closure forward as the reference.
 type flatModel interface {
 	Scorer
 	// flatBuilder records the fitted architecture as a flat program.
 	flatBuilder() *flat.Builder
-	// scoreWith runs the model's scoring protocol through prog.
-	scoreWith(prog *flat.Program, x []float64) (float64, error)
 	// scoreRef is the closure-forward reference path.
 	scoreRef(x []float64) (float64, error)
-	program() *flat.Program
 	setProgram(p *flat.Program)
 }
 
-// compileFlat compiles the lossless F64 serving program — called at the
+// compileFlat compiles and installs the serving program — called at the
 // end of Fit and UnmarshalBinary. A compile failure is a real wiring bug
 // (shape drift between training and serving), so it propagates.
 func compileFlat(m flatModel) error {
-	prog, err := m.flatBuilder().Compile(flat.F64)
+	prog, err := m.flatBuilder().Compile()
 	if err != nil {
 		return fmt.Errorf("models: %s: compile flat program: %w", m.Name(), err)
 	}
 	m.setProgram(prog)
 	return nil
-}
-
-// asFlatModel resolves a Scorer's flat serving contract.
-func asFlatModel(s Scorer) (flatModel, error) {
-	fm, ok := s.(flatModel)
-	if !ok {
-		return nil, fmt.Errorf("models: %s has no flat serving path", s.Name())
-	}
-	return fm, nil
-}
-
-// CompileFlat recompiles a fitted deep model's serving program at the
-// given precision tier, ungated. Use QuantizeFlat for the lossy tiers in
-// production — this is the raw switch (tests, offline experiments).
-func CompileFlat(s Scorer, prec flat.Precision) error {
-	fm, err := asFlatModel(s)
-	if err != nil {
-		return err
-	}
-	prog, err := fm.flatBuilder().Compile(prec)
-	if err != nil {
-		return fmt.Errorf("models: %s: compile flat program: %w", s.Name(), err)
-	}
-	fm.setProgram(prog)
-	return nil
-}
-
-// QuantizeFlat compiles a lossy (F32/Int8) program for a fitted deep model
-// and installs it only if it clears the accuracy gate against the float64
-// closure reference on the held-out window. On gate failure the model
-// keeps its current program untouched and the returned error is a
-// *flat.GateError carrying the report.
-func QuantizeFlat(s Scorer, prec flat.Precision, holdout [][]float64, labels []int, gate flat.Gate) (flat.Report, error) {
-	fm, err := asFlatModel(s)
-	if err != nil {
-		return flat.Report{}, err
-	}
-	if prec == flat.F64 {
-		return flat.Report{}, fmt.Errorf("models: %s: QuantizeFlat wants a lossy tier, got %v", s.Name(), prec)
-	}
-	if len(holdout) == 0 {
-		return flat.Report{}, fmt.Errorf("models: %s: QuantizeFlat needs a non-empty holdout", s.Name())
-	}
-	cand, err := fm.flatBuilder().Compile(prec)
-	if err != nil {
-		return flat.Report{}, fmt.Errorf("models: %s: compile %v program: %w", s.Name(), prec, err)
-	}
-	ref := make([]float64, len(holdout))
-	got := make([]float64, len(holdout))
-	for i, x := range holdout {
-		if ref[i], err = fm.scoreRef(x); err != nil {
-			return flat.Report{}, fmt.Errorf("models: %s: reference score: %w", s.Name(), err)
-		}
-		if got[i], err = fm.scoreWith(cand, x); err != nil {
-			return flat.Report{}, fmt.Errorf("models: %s: candidate score: %w", s.Name(), err)
-		}
-	}
-	rep := flat.Evaluate(prec, ref, got, labels, gate)
-	if !rep.Pass {
-		return rep, &flat.GateError{Report: rep, Gate: gate}
-	}
-	fm.setProgram(cand)
-	return rep, nil
 }
 
 // ReferenceScoreFeatures scores through the training-time closure forward,
@@ -119,20 +52,6 @@ func ReferenceScoreFeatures(s Scorer, x []float64) (float64, error) {
 		return fm.scoreRef(x)
 	}
 	return s.ScoreFeatures(x)
-}
-
-// FlatPrecision reports the precision tier a deep model is serving at
-// (ok=false: no compiled program / not a deep model).
-func FlatPrecision(s Scorer) (flat.Precision, bool) {
-	fm, ok := s.(flatModel)
-	if !ok {
-		return 0, false
-	}
-	p := fm.program()
-	if p == nil {
-		return 0, false
-	}
-	return p.Precision(), true
 }
 
 // Compile-time checks: every deep model serves through a flat program.

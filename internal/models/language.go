@@ -124,7 +124,7 @@ func (m *scsGuard) scoreRef(x []float64) (float64, error) {
 	return nn.Softmax(logits)[1], nil
 }
 
-// scoreWith implements flatModel.
+// scoreWith scores x through the compiled program p.
 func (m *scsGuard) scoreWith(p *flat.Program, x []float64) (float64, error) {
 	if len(x) == 0 {
 		return 0, ErrEmptyInput
@@ -416,7 +416,7 @@ func (m *transformerLM) scoreRef(x []float64) (float64, error) {
 	return pPhish / float64(len(wins)), nil
 }
 
-// scoreWith implements flatModel: the program scores one SeqLen window, so
+// scoreWith scores x through p. The program scores one SeqLen window, so
 // the β layout is walked in place with SplitWindows' exact semantics
 // (trailing all-PAD windows absent, first window always present) without
 // materializing window copies.

@@ -137,7 +137,7 @@ func (m *ecaEffNet) scoreRef(x []float64) (float64, error) {
 	return nn.Softmax(logits)[1], nil
 }
 
-// scoreWith implements flatModel.
+// scoreWith scores x through the compiled program p.
 func (m *ecaEffNet) scoreWith(p *flat.Program, x []float64) (float64, error) {
 	if len(x) == 0 {
 		return 0, ErrEmptyInput
@@ -397,7 +397,7 @@ func (m *vit) scoreRef(x []float64) (float64, error) {
 	return nn.Softmax(logits)[1], nil
 }
 
-// scoreWith implements flatModel.
+// scoreWith scores x through the compiled program p.
 func (m *vit) scoreWith(p *flat.Program, x []float64) (float64, error) {
 	if len(x) == 0 {
 		return 0, ErrEmptyInput

@@ -10,15 +10,17 @@ import (
 // latency is < 2^i microseconds, the last bucket catching everything slower.
 const latencyBuckets = 32
 
-// latencyHist is a lock-free power-of-two latency histogram. Quantiles are
+// LatencyHist is a lock-free power-of-two latency histogram. Quantiles are
 // answered as the upper bound of the bucket holding the q-th observation, so
 // they are upper estimates with at most 2x resolution error — plenty for
-// monitoring dashboards, and far cheaper than tracking every sample.
-type latencyHist struct {
+// monitoring dashboards, and far cheaper than tracking every sample. The
+// zero value is ready to use and safe for concurrent use.
+type LatencyHist struct {
 	buckets [latencyBuckets]atomic.Uint64
 }
 
-func (h *latencyHist) observe(d time.Duration) {
+// Observe records one latency.
+func (h *LatencyHist) Observe(d time.Duration) {
 	us := d.Microseconds()
 	if us < 0 {
 		us = 0
@@ -30,9 +32,9 @@ func (h *latencyHist) observe(d time.Duration) {
 	h.buckets[b].Add(1)
 }
 
-// quantile returns an upper bound on the q-th latency quantile, or 0 when
+// Quantile returns an upper bound on the q-th latency quantile, or 0 when
 // nothing has been observed.
-func (h *latencyHist) quantile(q float64) time.Duration {
+func (h *LatencyHist) Quantile(q float64) time.Duration {
 	var counts [latencyBuckets]uint64
 	var total uint64
 	for i := range h.buckets {
@@ -68,7 +70,7 @@ type counters struct {
 	dropped         atomic.Uint64
 	poisoned        atomic.Uint64
 	errors          atomic.Uint64
-	latency         latencyHist
+	latency         LatencyHist
 }
 
 // Stats is a point-in-time snapshot of a Watcher's counters, JSON-ready for

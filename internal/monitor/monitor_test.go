@@ -344,15 +344,15 @@ func TestJSONLSinkAndFanout(t *testing.T) {
 }
 
 func TestLatencyHistQuantiles(t *testing.T) {
-	var h latencyHist
-	if h.quantile(0.5) != 0 {
+	var h LatencyHist
+	if h.Quantile(0.5) != 0 {
 		t.Error("empty histogram should answer 0")
 	}
 	for i := 0; i < 99; i++ {
-		h.observe(time.Millisecond)
+		h.Observe(time.Millisecond)
 	}
-	h.observe(500 * time.Millisecond)
-	p50, p99 := h.quantile(0.5), h.quantile(0.99)
+	h.Observe(500 * time.Millisecond)
+	p50, p99 := h.Quantile(0.5), h.Quantile(0.99)
 	if p50 < time.Millisecond || p50 > 3*time.Millisecond {
 		t.Errorf("p50 = %v, want ~1-2ms upper bound", p50)
 	}

@@ -360,7 +360,7 @@ func (p *Pipeline) scoreLoop() {
 	for job := range p.queue {
 		t0 := time.Now()
 		v, err := p.scorer.ScoreCode(p.ctx, job.code)
-		p.ctr.latency.observe(time.Since(t0))
+		p.ctr.latency.Observe(time.Since(t0))
 		if err != nil {
 			p.ctr.errors.Add(1)
 			// Un-remember the hash and fail the scan: the deployment was
@@ -475,7 +475,7 @@ func (p *Pipeline) Stats() Stats {
 		Errors:          p.ctr.errors.Load(),
 		QueueDepth:      len(p.queue),
 		QueueCap:        cap(p.queue),
-		ScoreP50MS:      float64(p.ctr.latency.quantile(0.50)) / float64(time.Millisecond),
-		ScoreP99MS:      float64(p.ctr.latency.quantile(0.99)) / float64(time.Millisecond),
+		ScoreP50MS:      float64(p.ctr.latency.Quantile(0.50)) / float64(time.Millisecond),
+		ScoreP99MS:      float64(p.ctr.latency.Quantile(0.99)) / float64(time.Millisecond),
 	}
 }

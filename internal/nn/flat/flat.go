@@ -6,16 +6,12 @@
 // Builder walks a fitted model's layers and records a fused op sequence
 // (Dense+activation, LayerNorm, GRU steps over preallocated gate buffers,
 // direct-loop convolution, attention over flat QKV projections) with every
-// scratch buffer planned at compile time. Compile instantiates the program
-// at a chosen precision over struct-of-arrays weight slices; Forward then
-// executes into a pooled per-worker scratch arena, so steady-state scoring
-// is 0 allocs/op and safe for concurrent use.
-//
-// Three precision tiers exist. F64 copies the trained float64 weights and
-// matches the closure forward to ~1e-15 — the lossless serving default.
-// F32 halves the weight and scratch footprint; Int8 additionally quantizes
-// every weight matrix to int8 with per-output-row scales. Both lossy tiers
-// are meant to be installed only behind the accuracy gate in quant.go.
+// scratch buffer planned at compile time. Compile copies the trained
+// float64 weights into struct-of-arrays slices; Forward then executes into
+// a pooled per-worker scratch arena, so steady-state scoring is 0 allocs/op
+// and safe for concurrent use. Programs track the closure forward well
+// inside the 1e-6 parity budget (ops.go and fastmath.go document the
+// deliberate deviations).
 package flat
 
 import (
@@ -26,36 +22,6 @@ import (
 
 	"github.com/phishinghook/phishinghook/internal/nn"
 )
-
-// Precision selects the weight/scratch storage tier of a compiled program.
-type Precision int
-
-// Precision tiers.
-const (
-	// F64 stores float64 weights and scratch: bit-near parity with the
-	// closure forward (the serving default).
-	F64 Precision = iota
-	// F32 stores float32 weights and scratch (half the footprint; install
-	// behind the accuracy gate).
-	F32
-	// Int8 quantizes weight matrices to int8 with per-row scales over
-	// float32 scratch (install behind the accuracy gate).
-	Int8
-)
-
-// String implements fmt.Stringer.
-func (p Precision) String() string {
-	switch p {
-	case F64:
-		return "f64"
-	case F32:
-		return "f32"
-	case Int8:
-		return "int8"
-	default:
-		return fmt.Sprintf("Precision(%d)", int(p))
-	}
-}
 
 // Act selects the activation fused into a Dense op.
 type Act int
@@ -104,8 +70,8 @@ const (
 	kPatchViT
 )
 
-// opSpec is one precision-independent recorded op: layer references plus
-// resolved buffer handles. Instantiation converts it to a typed op.
+// opSpec is one recorded op: layer references plus resolved buffer
+// handles. Compile converts it to an executable op.
 type opSpec struct {
 	kind    opKind
 	in, out Buf
@@ -372,9 +338,8 @@ func (b *Builder) Conv(c *nn.Conv2D, in Buf, relu bool) Buf {
 		return b.fail("Conv expects %d channels, buffer has %d", c.InC, sh.imC)
 	}
 	oh, ow := c.OutShape(sh.imH, sh.imW)
-	scratch := []Buf{b.alloc(vecShape(c.InC * c.K * c.K))} // dequantized kernel row
 	out := b.alloc(imgShape(c.OutC, oh, ow))
-	b.specs = append(b.specs, opSpec{kind: kConv, conv: c, in: in, out: out, scratch: scratch, relu: relu})
+	b.specs = append(b.specs, opSpec{kind: kConv, conv: c, in: in, out: out, relu: relu})
 	return out
 }
 
@@ -446,18 +411,13 @@ func (b *Builder) Logits(d *nn.Dense, in Buf) {
 	b.hasLogits = b.err == nil
 }
 
-// runner is the precision-erased executable program.
-type runner interface {
-	forward(x []float64) float64
-}
-
 // Program is a compiled forward-only inference program. Forward is safe
 // for concurrent use and allocates nothing in steady state.
 type Program struct {
-	prec    Precision
-	inDim   int
-	scratch int
-	r       runner
+	inDim  int
+	ops    []op
+	logits int
+	pool   sync.Pool // *arena
 }
 
 // InputSizeError reports a Forward input that does not match the compiled
@@ -471,26 +431,24 @@ func (e *InputSizeError) Error() string {
 	return fmt.Sprintf("flat: input has %d floats, program compiled for %d", e.Got, e.Want)
 }
 
-// Forward executes the program over one feature vector and returns
-// P(class 1).
+// Forward executes the program over one feature vector into a pooled arena
+// and returns P(class 1) read off the logits buffer.
 func (p *Program) Forward(x []float64) (float64, error) {
 	if len(x) != p.inDim {
 		return 0, &InputSizeError{Got: len(x), Want: p.inDim}
 	}
-	return p.r.forward(x), nil
+	a := p.pool.Get().(*arena)
+	for _, o := range p.ops {
+		o.run(a, x)
+	}
+	lb := a.bufs[p.logits]
+	d := lb[0] - lb[1]
+	p.pool.Put(a)
+	return 1 / (1 + math.Exp(d)), nil
 }
 
-// Precision returns the compiled weight tier.
-func (p *Program) Precision() Precision { return p.prec }
-
-// InDim returns the expected Forward input width.
-func (p *Program) InDim() int { return p.inDim }
-
-// ScratchFloats returns the per-arena scratch size (diagnostics).
-func (p *Program) ScratchFloats() int { return p.scratch }
-
-// Compile instantiates the recorded program at the given precision.
-func (b *Builder) Compile(prec Precision) (*Program, error) {
+// Compile instantiates the recorded program.
+func (b *Builder) Compile() (*Program, error) {
 	if b.err != nil {
 		return nil, b.err
 	}
@@ -498,89 +456,43 @@ func (b *Builder) Compile(prec Precision) (*Program, error) {
 		return nil, errors.New("flat: program has no logits head")
 	}
 	sizes := make([]int, len(b.shapes))
-	total := 0
 	for i, sh := range b.shapes {
 		sizes[i] = sh.n
-		total += sh.n
 	}
-	var r runner
-	var err error
-	switch prec {
-	case F64:
-		r, err = newProgram[float64](b, sizes, false)
-	case F32:
-		r, err = newProgram[float32](b, sizes, false)
-	case Int8:
-		r, err = newProgram[float32](b, sizes, true)
-	default:
-		return nil, fmt.Errorf("flat: unknown precision %d", int(prec))
-	}
-	if err != nil {
-		return nil, err
-	}
-	return &Program{prec: prec, inDim: b.inDim, scratch: total, r: r}, nil
-}
-
-// num is the scratch/weight element type of an instantiated program.
-type num interface {
-	~float32 | ~float64
-}
-
-// arena is one worker's scratch: every planned buffer sliced out of a
-// single backing array.
-type arena[T num] struct {
-	bufs [][]T
-}
-
-func newArena[T num](sizes []int) *arena[T] {
-	total := 0
-	for _, s := range sizes {
-		total += s
-	}
-	back := make([]T, total)
-	bufs := make([][]T, len(sizes))
-	off := 0
-	for i, s := range sizes {
-		bufs[i] = back[off : off+s : off+s]
-		off += s
-	}
-	return &arena[T]{bufs: bufs}
-}
-
-// op is one executable step.
-type op[T num] interface {
-	run(a *arena[T], x []float64)
-}
-
-// program is the typed executable: ops plus an arena pool.
-type program[T num] struct {
-	ops    []op[T]
-	logits int
-	pool   sync.Pool
-}
-
-func newProgram[T num](b *Builder, sizes []int, quant bool) (*program[T], error) {
-	p := &program[T]{logits: int(b.logits)}
+	p := &Program{inDim: b.inDim, logits: int(b.logits)}
 	for _, spec := range b.specs {
-		o, err := instantiate[T](b, spec, quant)
+		o, err := instantiate(b, spec)
 		if err != nil {
 			return nil, err
 		}
 		p.ops = append(p.ops, o)
 	}
-	p.pool.New = func() any { return newArena[T](sizes) }
+	p.pool.New = func() any { return newArena(sizes) }
 	return p, nil
 }
 
-// forward runs all ops into a pooled arena and reads P(class 1) off the
-// logits buffer.
-func (p *program[T]) forward(x []float64) float64 {
-	a := p.pool.Get().(*arena[T])
-	for _, o := range p.ops {
-		o.run(a, x)
+// arena is one worker's scratch: every planned buffer sliced out of a
+// single backing array.
+type arena struct {
+	bufs [][]float64
+}
+
+func newArena(sizes []int) *arena {
+	total := 0
+	for _, s := range sizes {
+		total += s
 	}
-	lb := a.bufs[p.logits]
-	d := float64(lb[0]) - float64(lb[1])
-	p.pool.Put(a)
-	return 1 / (1 + math.Exp(d))
+	back := make([]float64, total)
+	bufs := make([][]float64, len(sizes))
+	off := 0
+	for i, s := range sizes {
+		bufs[i] = back[off : off+s : off+s]
+		off += s
+	}
+	return &arena{bufs: bufs}
+}
+
+// op is one executable step.
+type op interface {
+	run(a *arena, x []float64)
 }

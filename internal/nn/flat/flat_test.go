@@ -11,7 +11,7 @@ import (
 
 // denseProgram compiles Input → Dense+ReLU → Logits over fresh random
 // layers.
-func denseProgram(t testing.TB, seed int64, in, hid int, prec Precision) (*Program, *nn.Dense, *nn.Dense) {
+func denseProgram(t testing.TB, seed int64, in, hid int) (*Program, *nn.Dense, *nn.Dense) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	d1 := nn.NewDense("t.d1", in, hid, rng)
@@ -23,7 +23,7 @@ func denseProgram(t testing.TB, seed int64, in, hid int, prec Precision) (*Progr
 	h := b.Input()
 	h = b.Dense(d1, h, ReLU)
 	b.Logits(d2, h)
-	p, err := b.Compile(prec)
+	p, err := b.Compile()
 	if err != nil {
 		t.Fatalf("Compile: %v", err)
 	}
@@ -39,7 +39,7 @@ func closureScore(d1, d2 *nn.Dense, x []float64) float64 {
 }
 
 func TestDenseParityF64(t *testing.T) {
-	p, d1, d2 := denseProgram(t, 1, 16, 8, F64)
+	p, d1, d2 := denseProgram(t, 1, 16, 8)
 	rng := rand.New(rand.NewSource(2))
 	for trial := 0; trial < 100; trial++ {
 		x := make([]float64, 16)
@@ -57,31 +57,8 @@ func TestDenseParityF64(t *testing.T) {
 	}
 }
 
-func TestDenseLossyTiers(t *testing.T) {
-	for _, prec := range []Precision{F32, Int8} {
-		p, d1, d2 := denseProgram(t, 3, 16, 8, prec)
-		rng := rand.New(rand.NewSource(4))
-		for trial := 0; trial < 50; trial++ {
-			x := make([]float64, 16)
-			for i := range x {
-				x[i] = rng.NormFloat64()
-			}
-			got, err := p.Forward(x)
-			if err != nil {
-				t.Fatalf("%v Forward: %v", prec, err)
-			}
-			want := closureScore(d1, d2, x)
-			// Lossy tiers are gated, not parity-exact; they must still land
-			// in the same neighbourhood on a tiny well-conditioned net.
-			if d := math.Abs(got - want); d > 0.05 {
-				t.Fatalf("%v trial %d: flat %v vs closure %v (Δ=%g)", prec, trial, got, want, d)
-			}
-		}
-	}
-}
-
 func FuzzFlatDenseParity(f *testing.F) {
-	p, d1, d2 := denseProgram(f, 5, 4, 6, F64)
+	p, d1, d2 := denseProgram(f, 5, 4, 6)
 	f.Add(0.5, -1.25, 3.5, 0.0)
 	f.Add(100.0, -100.0, 1e-9, -1e-9)
 	f.Fuzz(func(t *testing.T, a, b, c, d float64) {
@@ -106,7 +83,7 @@ func FuzzFlatDenseParity(f *testing.F) {
 }
 
 func TestForwardZeroAlloc(t *testing.T) {
-	p, _, _ := denseProgram(t, 6, 16, 8, F64)
+	p, _, _ := denseProgram(t, 6, 16, 8)
 	x := make([]float64, 16)
 	for i := range x {
 		x[i] = float64(i) * 0.25
@@ -118,7 +95,7 @@ func TestForwardZeroAlloc(t *testing.T) {
 }
 
 func TestForwardConcurrent(t *testing.T) {
-	p, d1, d2 := denseProgram(t, 7, 16, 8, F64)
+	p, d1, d2 := denseProgram(t, 7, 16, 8)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -146,7 +123,7 @@ func TestForwardConcurrent(t *testing.T) {
 }
 
 func TestInputSizeError(t *testing.T) {
-	p, _, _ := denseProgram(t, 8, 16, 8, F64)
+	p, _, _ := denseProgram(t, 8, 16, 8)
 	_, err := p.Forward(make([]float64, 3))
 	var ise *InputSizeError
 	if !errorsAs(err, &ise) {
@@ -174,14 +151,14 @@ func TestBuilderValidation(t *testing.T) {
 	b := NewBuilder(4)
 	h := b.Input()
 	b.Logits(d, h) // d.In=8 over a 4-wide buffer
-	if _, err := b.Compile(F64); err == nil {
+	if _, err := b.Compile(); err == nil {
 		t.Fatal("Compile accepted a shape-mismatched Dense")
 	}
 
 	// No logits head.
 	b = NewBuilder(4)
 	b.Input()
-	if _, err := b.Compile(F64); err == nil {
+	if _, err := b.Compile(); err == nil {
 		t.Fatal("Compile accepted a program without logits")
 	}
 
@@ -189,90 +166,7 @@ func TestBuilderValidation(t *testing.T) {
 	wide := nn.NewDense("t.wide", 4, 3, rng)
 	b = NewBuilder(4)
 	b.Logits(wide, b.Input())
-	if _, err := b.Compile(F64); err == nil {
+	if _, err := b.Compile(); err == nil {
 		t.Fatal("Compile accepted a 3-class logits head")
-	}
-}
-
-func TestPrecisionString(t *testing.T) {
-	for prec, want := range map[Precision]string{F64: "f64", F32: "f32", Int8: "int8"} {
-		if got := prec.String(); got != want {
-			t.Fatalf("%d.String() = %q, want %q", int(prec), got, want)
-		}
-	}
-}
-
-func TestAUC(t *testing.T) {
-	labels := []int{0, 0, 1, 1}
-	if got := AUC([]float64{0.1, 0.2, 0.8, 0.9}, labels); got != 1 {
-		t.Fatalf("perfect ranking AUC = %v, want 1", got)
-	}
-	if got := AUC([]float64{0.9, 0.8, 0.2, 0.1}, labels); got != 0 {
-		t.Fatalf("reversed ranking AUC = %v, want 0", got)
-	}
-	if got := AUC([]float64{0.5, 0.5, 0.5, 0.5}, labels); got != 0.5 {
-		t.Fatalf("all-tied AUC = %v, want 0.5", got)
-	}
-	if got := AUC([]float64{0.1, 0.9}, []int{1, 1}); got != 0.5 {
-		t.Fatalf("single-class AUC = %v, want 0.5", got)
-	}
-}
-
-func TestEvaluateGate(t *testing.T) {
-	labels := []int{0, 0, 1, 1}
-	ref := []float64{0.1, 0.2, 0.8, 0.9}
-
-	// Small probability shifts, ranking preserved: pass.
-	rep := Evaluate(Int8, ref, []float64{0.11, 0.19, 0.81, 0.885}, labels, DefaultGate)
-	if !rep.Pass {
-		t.Fatalf("near-identical candidate failed the gate: %+v", rep)
-	}
-	if rep.Precision != "int8" || rep.Samples != 4 {
-		t.Fatalf("report metadata: %+v", rep)
-	}
-
-	// Large probability shift: fail on max|Δp|.
-	rep = Evaluate(Int8, ref, []float64{0.6, 0.2, 0.8, 0.9}, labels, DefaultGate)
-	if rep.Pass {
-		t.Fatalf("candidate with |Δp|=0.5 passed: %+v", rep)
-	}
-
-	// Ranking destroyed within the Δp budget: fail on AUC delta.
-	g := Gate{MaxAbsDeltaP: 1, MaxAUCDelta: 0.01}
-	rep = Evaluate(F32, ref, []float64{0.9, 0.8, 0.2, 0.1}, labels, g)
-	if rep.Pass {
-		t.Fatalf("rank-inverted candidate passed: %+v", rep)
-	}
-	if rep.AUCDelta != 1 {
-		t.Fatalf("AUCDelta = %v, want 1", rep.AUCDelta)
-	}
-}
-
-func TestQuantizedMatRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(10))
-	w := make([]float64, 8*16)
-	for i := range w {
-		w[i] = rng.NormFloat64()
-	}
-	m := newMat[float32](w, 8, 16, true)
-	x := make([]float32, 16)
-	for i := range x {
-		x[i] = float32(rng.NormFloat64())
-	}
-	for o := 0; o < 8; o++ {
-		var want float64
-		for i := 0; i < 16; i++ {
-			want += w[o*16+i] * float64(x[i])
-		}
-		got := float64(m.dot(o, x))
-		// Per-row symmetric int8: error bounded by cols · (scale/2) · max|x|.
-		if math.Abs(got-want) > 0.5 {
-			t.Fatalf("row %d: quantized dot %v vs exact %v", o, got, want)
-		}
-	}
-	// All-zero rows stay exactly zero.
-	zero := newMat[float32](make([]float64, 4*4), 4, 4, true)
-	if got := zero.dot(1, x[:4]); got != 0 {
-		t.Fatalf("all-zero quantized row dot = %v", got)
 	}
 }

@@ -3,6 +3,7 @@ package flat
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"github.com/phishinghook/phishinghook/internal/nn"
 )
@@ -10,59 +11,48 @@ import (
 // The ops mirror the closure layers' float64 arithmetic — same grouping and
 // special forms (division-not-multiplication pooling, the branch-stable
 // sigmoid, per-head max-shifted softmax) — with one deliberate deviation:
-// dot products accumulate over four independent lanes (see mat.dot) and the
-// softmax normalizes by a single reciprocal, so the F64 tier tracks the
-// training forward to ~1e-15 instead of bit-exactly. Both reassociations
-// are noise against the 1e-6 parity budget and buy the pipelined inner
-// loops the whole package exists for.
+// dot products accumulate over independent lanes (see mat) and the softmax
+// normalizes by a single reciprocal, so programs track the training forward
+// to ~1e-15 instead of bit-exactly. Both reassociations are noise against
+// the 1e-6 parity budget and buy the pipelined inner loops the whole
+// package exists for.
 
-// cvt converts a float64 weight slice to the program's element type.
-func cvt[T num](src []float64) []T {
-	out := make([]T, len(src))
-	for i, v := range src {
-		out[i] = T(v)
-	}
-	return out
-}
-
-// sigmoidT mirrors mat.Sigmoid's overflow-stable branches in float64.
-func sigmoidT[T num](x T) T {
-	v := float64(x)
+// sigmoid mirrors mat.Sigmoid's overflow-stable branches.
+func sigmoid(v float64) float64 {
 	if v >= 0 {
 		z := math.Exp(-v)
-		return T(1 / (1 + z))
+		return 1 / (1 + z)
 	}
 	z := math.Exp(v)
-	return T(z / (1 + z))
+	return z / (1 + z)
 }
 
-// geluT mirrors nn.GELU's tanh approximation in float64.
-func geluT[T num](x T) T {
+// gelu mirrors nn.GELU's tanh approximation.
+func gelu(v float64) float64 {
 	const c = 0.7978845608028654 // sqrt(2/pi)
-	v := float64(x)
-	return T(0.5 * v * (1 + math.Tanh(c*(v+0.044715*v*v*v))))
+	return 0.5 * v * (1 + math.Tanh(c*(v+0.044715*v*v*v)))
 }
 
-// layerNormRow normalizes one row with nn.LayerNorm's arithmetic (float64
-// population statistics, lnEps = 1e-5).
-func layerNormRow[T num](x, y, gain, bias []T) {
+// layerNormRow normalizes one row with nn.LayerNorm's arithmetic
+// (population statistics, lnEps = 1e-5).
+func layerNormRow(x, y, gain, bias []float64) {
 	const lnEps = 1e-5
 	n := float64(len(x))
 	mean := 0.0
 	for _, v := range x {
-		mean += float64(v)
+		mean += v
 	}
 	mean /= n
 	va := 0.0
 	for _, v := range x {
-		d := float64(v) - mean
+		d := v - mean
 		va += d * d
 	}
 	va /= n
 	inv := 1 / math.Sqrt(va+lnEps)
 	for i, v := range x {
-		xhat := (float64(v) - mean) * inv
-		y[i] = T(xhat*float64(gain[i]) + float64(bias[i]))
+		xhat := (v - mean) * inv
+		y[i] = xhat*gain[i] + bias[i]
 	}
 }
 
@@ -78,27 +68,24 @@ func tokenID(v float64, vocab int) int {
 }
 
 // opInput copies the raw program input into a vector buffer.
-type opInput[T num] struct {
+type opInput struct {
 	out int
 }
 
-func (o *opInput[T]) run(a *arena[T], x []float64) {
-	dst := a.bufs[o.out]
-	for i, v := range x {
-		dst[i] = T(v)
-	}
+func (o *opInput) run(a *arena, x []float64) {
+	copy(a.bufs[o.out], x)
 }
 
 // opEmbedSeq embeds input tokens into a sequence buffer, fusing the
 // positional add when present.
-type opEmbedSeq[T num] struct {
-	w           []T
-	pos         []T // nil: no positional table
+type opEmbedSeq struct {
+	w           []float64
+	pos         []float64 // nil: no positional table
 	vocab, dim  int
 	seqLen, out int
 }
 
-func (o *opEmbedSeq[T]) run(a *arena[T], x []float64) {
+func (o *opEmbedSeq) run(a *arena, x []float64) {
 	out := a.bufs[o.out]
 	for t := 0; t < o.seqLen; t++ {
 		id := tokenID(x[t], o.vocab)
@@ -116,13 +103,13 @@ func (o *opEmbedSeq[T]) run(a *arena[T], x []float64) {
 }
 
 // opEmbedMean fuses embedding lookup with mean pooling (the ESCORT front).
-type opEmbedMean[T num] struct {
-	w           []T
+type opEmbedMean struct {
+	w           []float64
 	vocab, dim  int
 	seqLen, out int
 }
 
-func (o *opEmbedMean[T]) run(a *arena[T], x []float64) {
+func (o *opEmbedMean) run(a *arena, x []float64) {
 	out := a.bufs[o.out]
 	clear(out)
 	for t := 0; t < o.seqLen; t++ {
@@ -132,21 +119,21 @@ func (o *opEmbedMean[T]) run(a *arena[T], x []float64) {
 			out[i] += v
 		}
 	}
-	inv := T(1 / float64(o.seqLen))
+	inv := 1 / float64(o.seqLen)
 	for i := range out {
 		out[i] *= inv
 	}
 }
 
 // opDense applies y = act(Wx + b) over a vector buffer.
-type opDense[T num] struct {
-	m       mat[T]
-	b       []T
+type opDense struct {
+	m       mat
+	b       []float64
 	act     Act
 	in, out int
 }
 
-func (o *opDense[T]) run(a *arena[T], x []float64) {
+func (o *opDense) run(a *arena, x []float64) {
 	xv := a.bufs[o.in]
 	y := a.bufs[o.out]
 	o.m.matvec(xv, o.b, y)
@@ -160,26 +147,26 @@ func (o *opDense[T]) run(a *arena[T], x []float64) {
 }
 
 // opLayerNorm normalizes a vector buffer.
-type opLayerNorm[T num] struct {
-	gain, bias []T
+type opLayerNorm struct {
+	gain, bias []float64
 	in, out    int
 }
 
-func (o *opLayerNorm[T]) run(a *arena[T], _ []float64) {
+func (o *opLayerNorm) run(a *arena, _ []float64) {
 	layerNormRow(a.bufs[o.in], a.bufs[o.out], o.gain, o.bias)
 }
 
 // opGRU runs the recurrence over a sequence buffer, writing the final
 // hidden state. Gate vectors live in preplanned scratch.
-type opGRU[T num] struct {
-	wz, uz, wr, ur, wh, uh mat[T]
-	bz, br, bh             []T
+type opGRU struct {
+	wz, uz, wr, ur, wh, uh mat
+	bz, br, bh             []float64
 	inDim, hidden, seqLen  int
 	in, out                int
 	zB, rB, rhB, htB       int
 }
 
-func (o *opGRU[T]) run(a *arena[T], _ []float64) {
+func (o *opGRU) run(a *arena, _ []float64) {
 	seq := a.bufs[o.in]
 	h := a.bufs[o.out]
 	clear(h)
@@ -206,9 +193,9 @@ func (o *opGRU[T]) run(a *arena[T], _ []float64) {
 
 // attnCore is the shared multi-head attention machinery: projection into
 // flat Q/K/V buffers and per-query-row softmax-weighted context.
-type attnCore[T num] struct {
-	wq, wk, wv, wo mat[T]
-	bq, bk, bv, bo []T
+type attnCore struct {
+	wq, wk, wv, wo mat
+	bq, bk, bv, bo []float64
 	heads, dim     int
 	seqLen         int
 	qB, kB, vB     int // qB < 0: no Q buffer (cross-attention)
@@ -216,32 +203,27 @@ type attnCore[T num] struct {
 	causal         bool
 }
 
-// projectRow fills dst[i] = m.row(i)·src + b[i].
-func projectRow[T num](m *mat[T], b []T, src, dst []T) {
-	m.matvec(src, b, dst)
-}
-
 // project fills the K/V (and, when planned, Q) buffers from a sequence.
-func (c *attnCore[T]) project(a *arena[T], src []T) {
+func (c *attnCore) project(a *arena, src []float64) {
 	k, v := a.bufs[c.kB], a.bufs[c.vB]
-	var q []T
+	var q []float64
 	if c.qB >= 0 {
 		q = a.bufs[c.qB]
 	}
 	for s := 0; s < c.seqLen; s++ {
 		xs := src[s*c.dim : (s+1)*c.dim]
 		if q != nil {
-			projectRow(&c.wq, c.bq, xs, q[s*c.dim:(s+1)*c.dim])
+			c.wq.matvec(xs, c.bq, q[s*c.dim:(s+1)*c.dim])
 		}
-		projectRow(&c.wk, c.bk, xs, k[s*c.dim:(s+1)*c.dim])
-		projectRow(&c.wv, c.bv, xs, v[s*c.dim:(s+1)*c.dim])
+		c.wk.matvec(xs, c.bk, k[s*c.dim:(s+1)*c.dim])
+		c.wv.matvec(xs, c.bv, v[s*c.dim:(s+1)*c.dim])
 	}
 }
 
 // attendRow computes softmax(qrow·Kᵀ/√dk)·V over positions [0,limit) into
 // the ctx scratch and returns it. Mirrors nn's attend: per-head max-shifted
 // softmax, masked positions contribute exactly nothing.
-func (c *attnCore[T]) attendRow(a *arena[T], qrow []T, limit int) []T {
+func (c *attnCore) attendRow(a *arena, qrow []float64, limit int) []float64 {
 	ctx := a.bufs[c.ctxB]
 	clear(ctx)
 	scores := a.bufs[c.scoresB]
@@ -251,22 +233,22 @@ func (c *attnCore[T]) attendRow(a *arena[T], qrow []T, limit int) []T {
 	for h := 0; h < c.heads; h++ {
 		off := h * dk
 		qh := qrow[off : off+dk]
-		var maxV T
+		var maxV float64
 		for t := 0; t < limit; t++ {
 			krow := k[t*c.dim+off : t*c.dim+off+dk : t*c.dim+off+dk]
 			var d0, d1, d2, d3 float64
 			j := 0
 			for ; j+4 <= dk; j += 4 {
-				d0 += float64(qh[j]) * float64(krow[j])
-				d1 += float64(qh[j+1]) * float64(krow[j+1])
-				d2 += float64(qh[j+2]) * float64(krow[j+2])
-				d3 += float64(qh[j+3]) * float64(krow[j+3])
+				d0 += qh[j] * krow[j]
+				d1 += qh[j+1] * krow[j+1]
+				d2 += qh[j+2] * krow[j+2]
+				d3 += qh[j+3] * krow[j+3]
 			}
 			dot := (d0 + d1) + (d2 + d3)
 			for ; j < dk; j++ {
-				dot += float64(qh[j]) * float64(krow[j])
+				dot += qh[j] * krow[j]
 			}
-			s := T(dot * scale)
+			s := dot * scale
 			scores[t] = s
 			if t == 0 || s > maxV {
 				maxV = s
@@ -293,7 +275,7 @@ func (c *attnCore[T]) attendRow(a *arena[T], qrow []T, limit int) []T {
 
 // limitAt mirrors the closure's causal mask: position s sees [0, s+1)
 // unless that already covers the whole sequence.
-func (c *attnCore[T]) limitAt(s int) int {
+func (c *attnCore) limitAt(s int) int {
 	if c.causal && s+1 < c.seqLen {
 		return s + 1
 	}
@@ -301,12 +283,12 @@ func (c *attnCore[T]) limitAt(s int) int {
 }
 
 // opSelfAttn applies bare multi-head self-attention (SCSGuard's encoder).
-type opSelfAttn[T num] struct {
-	core    attnCore[T]
+type opSelfAttn struct {
+	core    attnCore
 	in, out int
 }
 
-func (o *opSelfAttn[T]) run(a *arena[T], _ []float64) {
+func (o *opSelfAttn) run(a *arena, _ []float64) {
 	src := a.bufs[o.in]
 	o.core.project(a, src)
 	out := a.bufs[o.out]
@@ -314,23 +296,23 @@ func (o *opSelfAttn[T]) run(a *arena[T], _ []float64) {
 	dim := o.core.dim
 	for s := 0; s < o.core.seqLen; s++ {
 		ctx := o.core.attendRow(a, q[s*dim:(s+1)*dim], o.core.limitAt(s))
-		projectRow(&o.core.wo, o.core.bo, ctx, out[s*dim:(s+1)*dim])
+		o.core.wo.matvec(ctx, o.core.bo, out[s*dim:(s+1)*dim])
 	}
 }
 
 // opBlock applies one pre-norm transformer block in place:
 // x += Wo·attn(LN1(x)); x += FF2(GELU(FF1(LN2(x)))).
-type opBlock[T num] struct {
-	g1, b1, g2, b2 []T
-	core           attnCore[T]
-	ff1, ff2       mat[T]
-	fb1, fb2       []T
+type opBlock struct {
+	g1, b1, g2, b2 []float64
+	core           attnCore
+	ff1, ff2       mat
+	fb1, fb2       []float64
 	dim, ffDim     int
 	seq            int
 	n1B, n2B, midB int
 }
 
-func (o *opBlock[T]) run(a *arena[T], _ []float64) {
+func (o *opBlock) run(a *arena, _ []float64) {
 	x := a.bufs[o.seq]
 	n1 := a.bufs[o.n1B]
 	dim := o.dim
@@ -356,25 +338,25 @@ func (o *opBlock[T]) run(a *arena[T], _ []float64) {
 
 // opCrossQuery attends one learned query over a sequence (T5's decoder
 // read). The query's Wq projection is constant and folded at compile time.
-type opCrossQuery[T num] struct {
-	core    attnCore[T]
-	qproj   []T
+type opCrossQuery struct {
+	core    attnCore
+	qproj   []float64
 	in, out int
 }
 
-func (o *opCrossQuery[T]) run(a *arena[T], _ []float64) {
+func (o *opCrossQuery) run(a *arena, _ []float64) {
 	o.core.project(a, a.bufs[o.in])
 	ctx := o.core.attendRow(a, o.qproj, o.core.seqLen)
-	projectRow(&o.core.wo, o.core.bo, ctx, a.bufs[o.out])
+	o.core.wo.matvec(ctx, o.core.bo, a.bufs[o.out])
 }
 
 // opMeanPool averages a sequence buffer into a vector.
-type opMeanPool[T num] struct {
+type opMeanPool struct {
 	rows, cols int
 	in, out    int
 }
 
-func (o *opMeanPool[T]) run(a *arena[T], _ []float64) {
+func (o *opMeanPool) run(a *arena, _ []float64) {
 	seq := a.bufs[o.in]
 	out := a.bufs[o.out]
 	clear(out)
@@ -384,7 +366,7 @@ func (o *opMeanPool[T]) run(a *arena[T], _ []float64) {
 			out[i] += v
 		}
 	}
-	inv := T(1 / float64(o.rows))
+	inv := 1 / float64(o.rows)
 	for i := range out {
 		out[i] *= inv
 	}
@@ -392,11 +374,11 @@ func (o *opMeanPool[T]) run(a *arena[T], _ []float64) {
 
 // opImageInput converts the pixel-major side×side×3 input into a
 // channels-first image buffer (nn.FromFlatRGB's layout).
-type opImageInput[T num] struct {
+type opImageInput struct {
 	side, out int
 }
 
-func (o *opImageInput[T]) run(a *arena[T], x []float64) {
+func (o *opImageInput) run(a *arena, x []float64) {
 	img := a.bufs[o.out]
 	side := o.side
 	plane := side * side
@@ -404,23 +386,21 @@ func (o *opImageInput[T]) run(a *arena[T], x []float64) {
 		for xx := 0; xx < side; xx++ {
 			base := (y*side + xx) * 3
 			for c := 0; c < 3; c++ {
-				img[c*plane+y*side+xx] = T(x[base+c])
+				img[c*plane+y*side+xx] = x[base+c]
 			}
 		}
 	}
 }
 
 // opConv is the direct-loop convolution with fused bias and optional fused
-// ReLU. Quantized kernels are dequantized once per output channel into a
-// planned scratch row (each weight is reused oh×ow times, so the dequant
-// cost is noise next to the MACs).
-type opConv[T num] struct {
-	m                         mat[T] // rows = outC, cols = inC·K·K
-	b                         []T
+// ReLU.
+type opConv struct {
+	m                         mat // rows = outC, cols = inC·K·K
+	b                         []float64
 	inC, outC, k, stride, pad int
 	h, w, oh, ow              int
 	relu                      bool
-	in, out, rowB             int
+	in, out                   int
 	// Per-kx output-column bounds (see bounds): they depend only on kx, so
 	// hoisting them out of run removes two integer divisions per kernel tap
 	// per row.
@@ -430,7 +410,7 @@ type opConv[T num] struct {
 // bounds precomputes, for each kernel column kx, the [lo, hi) range of
 // output columns whose source column kx-pad+ox·stride lands inside the
 // image.
-func (o *opConv[T]) bounds() {
+func (o *opConv) bounds() {
 	o.oxLo = make([]int32, o.k)
 	o.oxHi = make([]int32, o.k)
 	for kx := 0; kx < o.k; kx++ {
@@ -450,11 +430,11 @@ func (o *opConv[T]) bounds() {
 	}
 }
 
-func (o *opConv[T]) run(a *arena[T], _ []float64) {
+func (o *opConv) run(a *arena, _ []float64) {
 	src := a.bufs[o.in]
 	dst := a.bufs[o.out]
 	for oc := 0; oc < o.outC; oc++ {
-		wrow := o.m.row(oc, a.bufs[o.rowB])
+		wrow := o.m.row(oc)
 		bias := o.b[oc]
 		for oy := 0; oy < o.oh; oy++ {
 			drow := dst[(oc*o.oh+oy)*o.ow : (oc*o.oh+oy+1)*o.ow]
@@ -507,22 +487,22 @@ func (o *opConv[T]) run(a *arena[T], _ []float64) {
 }
 
 // opECA applies Efficient Channel Attention in place.
-type opECA[T num] struct {
-	w          []T
+type opECA struct {
+	w          []float64
 	k          int
 	c, h, wd   int
 	img        int
 	gapB, attB int
 }
 
-func (o *opECA[T]) run(a *arena[T], _ []float64) {
+func (o *opECA) run(a *arena, _ []float64) {
 	img := a.bufs[o.img]
 	gap := a.bufs[o.gapB]
 	att := a.bufs[o.attB]
 	plane := o.h * o.wd
-	spatial := T(float64(plane))
+	spatial := float64(plane)
 	for c := 0; c < o.c; c++ {
-		s := T(0)
+		s := 0.0
 		for _, v := range img[c*plane : (c+1)*plane] {
 			s += v
 		}
@@ -530,14 +510,14 @@ func (o *opECA[T]) run(a *arena[T], _ []float64) {
 	}
 	half := o.k / 2
 	for c := 0; c < o.c; c++ {
-		s := T(0)
+		s := 0.0
 		for j := 0; j < o.k; j++ {
 			idx := c + j - half
 			if idx >= 0 && idx < o.c {
 				s += o.w[j] * gap[idx]
 			}
 		}
-		att[c] = sigmoidT(s)
+		att[c] = sigmoid(s)
 	}
 	for c := 0; c < o.c; c++ {
 		g := att[c]
@@ -549,18 +529,18 @@ func (o *opECA[T]) run(a *arena[T], _ []float64) {
 }
 
 // opGAP reduces an image buffer to per-channel means.
-type opGAP[T num] struct {
+type opGAP struct {
 	c, h, w int
 	in, out int
 }
 
-func (o *opGAP[T]) run(a *arena[T], _ []float64) {
+func (o *opGAP) run(a *arena, _ []float64) {
 	img := a.bufs[o.in]
 	out := a.bufs[o.out]
 	plane := o.h * o.w
-	spatial := T(float64(plane))
+	spatial := float64(plane)
 	for c := 0; c < o.c; c++ {
-		s := T(0)
+		s := 0.0
 		for _, v := range img[c*plane : (c+1)*plane] {
 			s += v
 		}
@@ -571,15 +551,15 @@ func (o *opGAP[T]) run(a *arena[T], _ []float64) {
 // opPatchViT fuses ViT input assembly: patches are projected straight from
 // the pixel-major input through a precomputed gather table, with the CLS
 // token and positional embeddings added in the same pass.
-type opPatchViT[T num] struct {
-	m                mat[T] // rows = dim, cols = patch·patch·3
-	b, cls, pos      []T
+type opPatchViT struct {
+	m                mat // rows = dim, cols = patch·patch·3
+	b, cls, pos      []float64
 	side, patch, dim int
 	idx              []int32 // patch-relative input offsets, gather order
 	out              int
 }
 
-func (o *opPatchViT[T]) run(a *arena[T], x []float64) {
+func (o *opPatchViT) run(a *arena, x []float64) {
 	out := a.bufs[o.out]
 	for i := 0; i < o.dim; i++ {
 		out[i] = o.cls[i] + o.pos[i]
@@ -601,14 +581,14 @@ func (o *opPatchViT[T]) run(a *arena[T], x []float64) {
 
 // newAttnCore builds the shared attention state from an nn layer and the
 // planned scratch handles [q,] k, v, scores, ctx.
-func newAttnCore[T num](m *nn.MultiHeadAttention, seqLen int, scratch []Buf, causal, hasQ, quant bool) attnCore[T] {
-	c := attnCore[T]{
-		wq: newMat[T](m.Wq.W.W, m.Dim, m.Dim, quant),
-		wk: newMat[T](m.Wk.W.W, m.Dim, m.Dim, quant),
-		wv: newMat[T](m.Wv.W.W, m.Dim, m.Dim, quant),
-		wo: newMat[T](m.Wo.W.W, m.Dim, m.Dim, quant),
-		bq: cvt[T](m.Wq.B.W), bk: cvt[T](m.Wk.B.W),
-		bv: cvt[T](m.Wv.B.W), bo: cvt[T](m.Wo.B.W),
+func newAttnCore(m *nn.MultiHeadAttention, seqLen int, scratch []Buf, causal, hasQ bool) attnCore {
+	c := attnCore{
+		wq: newMat(m.Wq.W.W, m.Dim),
+		wk: newMat(m.Wk.W.W, m.Dim),
+		wv: newMat(m.Wv.W.W, m.Dim),
+		wo: newMat(m.Wo.W.W, m.Dim),
+		bq: slices.Clone(m.Wq.B.W), bk: slices.Clone(m.Wk.B.W),
+		bv: slices.Clone(m.Wv.B.W), bo: slices.Clone(m.Wo.B.W),
 		heads: m.Heads, dim: m.Dim, seqLen: seqLen, causal: causal,
 	}
 	if hasQ {
@@ -622,73 +602,73 @@ func newAttnCore[T num](m *nn.MultiHeadAttention, seqLen int, scratch []Buf, cau
 	return c
 }
 
-// instantiate converts one recorded spec into a typed op, reading buffer
-// geometry off the builder's shape plan.
-func instantiate[T num](b *Builder, spec opSpec, quant bool) (op[T], error) {
+// instantiate converts one recorded spec into an executable op, reading
+// buffer geometry off the builder's shape plan.
+func instantiate(b *Builder, spec opSpec) (op, error) {
 	switch spec.kind {
 	case kInput:
-		return &opInput[T]{out: int(spec.out)}, nil
+		return &opInput{out: int(spec.out)}, nil
 	case kEmbedSeq:
-		o := &opEmbedSeq[T]{
-			w: cvt[T](spec.emb.W.W), vocab: spec.emb.Vocab, dim: spec.emb.Dim,
+		o := &opEmbedSeq{
+			w: slices.Clone(spec.emb.W.W), vocab: spec.emb.Vocab, dim: spec.emb.Dim,
 			seqLen: spec.seqLen, out: int(spec.out),
 		}
 		if spec.pos != nil {
-			o.pos = cvt[T](spec.pos.W)
+			o.pos = slices.Clone(spec.pos.W)
 		}
 		return o, nil
 	case kEmbedMean:
-		return &opEmbedMean[T]{
-			w: cvt[T](spec.emb.W.W), vocab: spec.emb.Vocab, dim: spec.emb.Dim,
+		return &opEmbedMean{
+			w: slices.Clone(spec.emb.W.W), vocab: spec.emb.Vocab, dim: spec.emb.Dim,
 			seqLen: spec.seqLen, out: int(spec.out),
 		}, nil
 	case kDense:
-		return &opDense[T]{
-			m: newMat[T](spec.dense.W.W, spec.dense.Out, spec.dense.In, quant),
-			b: cvt[T](spec.dense.B.W), act: spec.act,
+		return &opDense{
+			m: newMat(spec.dense.W.W, spec.dense.In),
+			b: slices.Clone(spec.dense.B.W), act: spec.act,
 			in: int(spec.in), out: int(spec.out),
 		}, nil
 	case kLayerNorm:
-		return &opLayerNorm[T]{
-			gain: cvt[T](spec.ln.Gain.W), bias: cvt[T](spec.ln.Bias.W),
+		return &opLayerNorm{
+			gain: slices.Clone(spec.ln.Gain.W), bias: slices.Clone(spec.ln.Bias.W),
 			in: int(spec.in), out: int(spec.out),
 		}, nil
 	case kGRU:
 		g := spec.gru
-		return &opGRU[T]{
-			wz: newMat[T](g.Wz.W, g.Hidden, g.In, quant),
-			uz: newMat[T](g.Uz.W, g.Hidden, g.Hidden, quant),
-			wr: newMat[T](g.Wr.W, g.Hidden, g.In, quant),
-			ur: newMat[T](g.Ur.W, g.Hidden, g.Hidden, quant),
-			wh: newMat[T](g.Wh.W, g.Hidden, g.In, quant),
-			uh: newMat[T](g.Uh.W, g.Hidden, g.Hidden, quant),
-			bz: cvt[T](g.Bz.W), br: cvt[T](g.Br.W), bh: cvt[T](g.Bh.W),
+		return &opGRU{
+			wz: newMat(g.Wz.W, g.In),
+			uz: newMat(g.Uz.W, g.Hidden),
+			wr: newMat(g.Wr.W, g.In),
+			ur: newMat(g.Ur.W, g.Hidden),
+			wh: newMat(g.Wh.W, g.In),
+			uh: newMat(g.Uh.W, g.Hidden),
+			bz: slices.Clone(g.Bz.W), br: slices.Clone(g.Br.W), bh: slices.Clone(g.Bh.W),
 			inDim: g.In, hidden: g.Hidden, seqLen: spec.seqLen,
 			in: int(spec.in), out: int(spec.out),
 			zB: int(spec.scratch[0]), rB: int(spec.scratch[1]),
 			rhB: int(spec.scratch[2]), htB: int(spec.scratch[3]),
 		}, nil
 	case kSelfAttn:
-		return &opSelfAttn[T]{
-			core: newAttnCore[T](spec.mha, spec.seqLen, spec.scratch, spec.causal, true, quant),
+		return &opSelfAttn{
+			core: newAttnCore(spec.mha, spec.seqLen, spec.scratch, spec.causal, true),
 			in:   int(spec.in), out: int(spec.out),
 		}, nil
 	case kBlock:
 		blk := spec.blk
-		return &opBlock[T]{
-			g1: cvt[T](blk.Norm1.Gain.W), b1: cvt[T](blk.Norm1.Bias.W),
-			g2: cvt[T](blk.Norm2.Gain.W), b2: cvt[T](blk.Norm2.Bias.W),
-			core: newAttnCore[T](blk.Attn, spec.seqLen, spec.scratch[1:6], spec.causal, true, quant),
-			ff1:  newMat[T](blk.FF1.W.W, blk.FFDim, blk.Dim, quant),
-			ff2:  newMat[T](blk.FF2.W.W, blk.Dim, blk.FFDim, quant),
-			fb1:  cvt[T](blk.FF1.B.W), fb2: cvt[T](blk.FF2.B.W),
+		return &opBlock{
+			g1: slices.Clone(blk.Norm1.Gain.W), b1: slices.Clone(blk.Norm1.Bias.W),
+			g2: slices.Clone(blk.Norm2.Gain.W), b2: slices.Clone(blk.Norm2.Bias.W),
+			core: newAttnCore(blk.Attn, spec.seqLen, spec.scratch[1:6], spec.causal, true),
+			ff1:  newMat(blk.FF1.W.W, blk.Dim),
+			ff2:  newMat(blk.FF2.W.W, blk.FFDim),
+			fb1:  slices.Clone(blk.FF1.B.W), fb2: slices.Clone(blk.FF2.B.W),
 			dim: blk.Dim, ffDim: blk.FFDim,
 			seq: int(spec.in),
 			n1B: int(spec.scratch[0]), n2B: int(spec.scratch[6]), midB: int(spec.scratch[7]),
 		}, nil
 	case kCrossQuery:
 		m := spec.mha
-		// Fold Wq·query + bq in float64: it is input-independent.
+		// Fold Wq·query + bq at compile time: it is input-independent.
 		qproj := make([]float64, m.Dim)
 		for o := 0; o < m.Dim; o++ {
 			s := m.Wq.B.W[o]
@@ -698,40 +678,40 @@ func instantiate[T num](b *Builder, spec opSpec, quant bool) (op[T], error) {
 			}
 			qproj[o] = s
 		}
-		return &opCrossQuery[T]{
-			core:  newAttnCore[T](m, spec.seqLen, spec.scratch, false, false, quant),
-			qproj: cvt[T](qproj),
+		return &opCrossQuery{
+			core:  newAttnCore(m, spec.seqLen, spec.scratch, false, false),
+			qproj: qproj,
 			in:    int(spec.in), out: int(spec.out),
 		}, nil
 	case kMeanPool:
 		sh := b.shapeOf(spec.in)
-		return &opMeanPool[T]{rows: sh.rows, cols: sh.cols, in: int(spec.in), out: int(spec.out)}, nil
+		return &opMeanPool{rows: sh.rows, cols: sh.cols, in: int(spec.in), out: int(spec.out)}, nil
 	case kImageInput:
-		return &opImageInput[T]{side: spec.side, out: int(spec.out)}, nil
+		return &opImageInput{side: spec.side, out: int(spec.out)}, nil
 	case kConv:
 		c := spec.conv
 		in, out := b.shapeOf(spec.in), b.shapeOf(spec.out)
-		cv := &opConv[T]{
-			m:   newMat[T](c.W.W, c.OutC, c.InC*c.K*c.K, quant),
-			b:   cvt[T](c.B.W),
+		cv := &opConv{
+			m:   newMat(c.W.W, c.InC*c.K*c.K),
+			b:   slices.Clone(c.B.W),
 			inC: c.InC, outC: c.OutC, k: c.K, stride: c.Stride, pad: c.Pad,
 			h: in.imH, w: in.imW, oh: out.imH, ow: out.imW,
 			relu: spec.relu,
-			in:   int(spec.in), out: int(spec.out), rowB: int(spec.scratch[0]),
+			in:   int(spec.in), out: int(spec.out),
 		}
 		cv.bounds()
 		return cv, nil
 	case kECA:
 		sh := b.shapeOf(spec.in)
-		return &opECA[T]{
-			w: cvt[T](spec.eca.W.W), k: spec.eca.K,
+		return &opECA{
+			w: slices.Clone(spec.eca.W.W), k: spec.eca.K,
 			c: sh.imC, h: sh.imH, wd: sh.imW,
 			img:  int(spec.in),
 			gapB: int(spec.scratch[0]), attB: int(spec.scratch[1]),
 		}, nil
 	case kGAP:
 		sh := b.shapeOf(spec.in)
-		return &opGAP[T]{c: sh.imC, h: sh.imH, w: sh.imW, in: int(spec.in), out: int(spec.out)}, nil
+		return &opGAP{c: sh.imC, h: sh.imH, w: sh.imW, in: int(spec.in), out: int(spec.out)}, nil
 	case kPatchViT:
 		d := spec.dense
 		p, side := spec.patch, spec.side
@@ -746,9 +726,9 @@ func instantiate[T num](b *Builder, spec opSpec, quant bool) (op[T], error) {
 				}
 			}
 		}
-		return &opPatchViT[T]{
-			m: newMat[T](d.W.W, d.Out, d.In, quant),
-			b: cvt[T](d.B.W), cls: cvt[T](spec.cls.W), pos: cvt[T](spec.pos.W),
+		return &opPatchViT{
+			m: newMat(d.W.W, d.In),
+			b: slices.Clone(d.B.W), cls: slices.Clone(spec.cls.W), pos: slices.Clone(spec.pos.W),
 			side: side, patch: p, dim: d.Out, idx: idx,
 			out: int(spec.out),
 		}, nil

@@ -1,57 +1,10 @@
 package txstream
 
 import (
-	"math/bits"
 	"sync/atomic"
-	"time"
+
+	"github.com/phishinghook/phishinghook/internal/monitor"
 )
-
-// latencyBuckets mirrors the monitor's power-of-two histogram resolution:
-// bucket i counts scores whose latency is < 2^i microseconds.
-const latencyBuckets = 32
-
-// latencyHist is a lock-free power-of-two latency histogram (the monitor's
-// design, replicated here because its implementation is unexported).
-// Quantiles are upper bounds of the bucket holding the q-th observation.
-type latencyHist struct {
-	buckets [latencyBuckets]atomic.Uint64
-}
-
-func (h *latencyHist) observe(d time.Duration) {
-	us := d.Microseconds()
-	if us < 0 {
-		us = 0
-	}
-	b := bits.Len64(uint64(us))
-	if b >= latencyBuckets {
-		b = latencyBuckets - 1
-	}
-	h.buckets[b].Add(1)
-}
-
-func (h *latencyHist) quantile(q float64) time.Duration {
-	var counts [latencyBuckets]uint64
-	var total uint64
-	for i := range h.buckets {
-		counts[i] = h.buckets[i].Load()
-		total += counts[i]
-	}
-	if total == 0 {
-		return 0
-	}
-	rank := uint64(q * float64(total))
-	if rank >= total {
-		rank = total - 1
-	}
-	var seen uint64
-	for i, n := range counts {
-		seen += n
-		if seen > rank {
-			return time.Duration(uint64(1)<<uint(i)) * time.Microsecond
-		}
-	}
-	return time.Duration(uint64(1)<<(latencyBuckets-1)) * time.Microsecond
-}
 
 // counters aggregates the tx watcher's observability state. All fields are
 // atomics: the poll loop and the score pool both write them.
@@ -64,7 +17,7 @@ type counters struct {
 	poisoned    atomic.Uint64
 	errors      atomic.Uint64
 	feedReopens atomic.Uint64
-	latency     latencyHist
+	latency     monitor.LatencyHist
 }
 
 // Stats is a point-in-time snapshot of a tx Watcher's counters, JSON-ready

@@ -1,9 +1,13 @@
 package txstream
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
+	"io"
 	"math"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -251,6 +255,59 @@ func TestWatcherEndToEnd(t *testing.T) {
 	}
 	if st.Alerts != uint64(len(want)) {
 		t.Fatalf("stats alerts = %d, want %d", st.Alerts, len(want))
+	}
+}
+
+// TestWatcherStopAtBlockDrainsLateTxs: txs released between an empty poll
+// and the head read that reaches StopAtBlock must be judged before Run
+// returns. The chain starts live with nothing visible, and the RPC handler
+// releases the whole chain on the first eth_blockNumber after a poll.
+func TestWatcherStopAtBlockDrainsLateTxs(t *testing.T) {
+	c := testTxChain(t, 400)
+	stop := c.TailBlock()
+	if err := c.GoLive(0); err != nil {
+		t.Fatal(err)
+	}
+	rpc := ethrpc.NewServer(c, 1)
+	var polled atomic.Bool
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		body, err := io.ReadAll(r.Body)
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		var req struct {
+			Method string `json:"method"`
+		}
+		_ = json.Unmarshal(body, &req) // batches are passed through untouched
+		switch req.Method {
+		case "eth_getFilterChanges":
+			polled.Store(true)
+		case "eth_blockNumber":
+			if polled.Load() {
+				c.AdvanceHead(stop)
+			}
+		}
+		r.Body = io.NopCloser(bytes.NewReader(body))
+		rpc.ServeHTTP(w, r)
+	}))
+	defer srv.Close()
+
+	w, err := New(parityScorer(), Config{
+		RPCURL:       srv.URL,
+		StopAtBlock:  stop,
+		PollInterval: 1,
+	})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	if err := w.Run(context.Background()); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	total := len(c.TxsInRange(0, ^uint64(0)))
+	if st := w.Stats(); st.TxsScored != uint64(total) || st.Cursor != stop {
+		t.Fatalf("Run returned having scored %d of %d txs at cursor %d (stop %d)",
+			st.TxsScored, total, st.Cursor, stop)
 	}
 }
 

@@ -224,8 +224,8 @@ func (w *Watcher) Stats() Stats {
 		SeenUnique:      judged,
 		CodeCacheHits:   hits,
 		CodeCacheMisses: misses,
-		ScoreP50MS:      float64(w.ctr.latency.quantile(0.50)) / float64(time.Millisecond),
-		ScoreP99MS:      float64(w.ctr.latency.quantile(0.99)) / float64(time.Millisecond),
+		ScoreP50MS:      float64(w.ctr.latency.Quantile(0.50)) / float64(time.Millisecond),
+		ScoreP99MS:      float64(w.ctr.latency.Quantile(0.99)) / float64(time.Millisecond),
 	}
 }
 
@@ -251,6 +251,10 @@ func (w *Watcher) Run(ctx context.Context) error {
 	// cursor has not yet committed: an empty poll proves the filter drained
 	// everything visible, so pendingMax becomes the cursor.
 	pendingMax := w.Cursor()
+	// headReached is set once a head read returns at least StopAtBlock. Txs
+	// may land between the empty poll and that read, so Run stops only on
+	// the next empty poll.
+	headReached := false
 	for {
 		w.ctr.polls.Add(1)
 		batch, err := feed.Poll(ctx)
@@ -288,11 +292,15 @@ func (w *Watcher) Run(ctx context.Context) error {
 		if len(batch) == 0 {
 			// Drained: everything visible up to pendingMax is judged.
 			w.advanceCursor(pendingMax)
+			if headReached {
+				w.advanceCursor(w.cfg.StopAtBlock)
+				return nil
+			}
 			if stop := w.cfg.StopAtBlock; stop > 0 {
 				head, herr := w.rpc.BlockNumber(ctx)
 				if herr == nil && head >= stop {
-					w.advanceCursor(stop)
-					return nil
+					headReached = true
+					continue
 				}
 				if herr != nil && ctx.Err() != nil {
 					return ctx.Err()
@@ -411,7 +419,7 @@ func (w *Watcher) judgeTx(ctx context.Context, feed *ethrpc.TxFeed, tx *ethrpc.P
 		}
 		start := time.Now()
 		if v, err = w.scorer.ScoreTx(ctx, tx.Calldata, code); err == nil {
-			w.ctr.latency.observe(time.Since(start))
+			w.ctr.latency.Observe(time.Since(start))
 			break
 		}
 		if ctx.Err() != nil {
