@@ -3,6 +3,7 @@ package ethrpc
 import (
 	"bytes"
 	"context"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -15,7 +16,6 @@ import (
 	"time"
 
 	"github.com/phishinghook/phishinghook/internal/chain"
-	"github.com/phishinghook/phishinghook/internal/evm"
 )
 
 // ClientOption configures a Client.
@@ -145,83 +145,48 @@ type wireRequest struct {
 	Params  []any  `json:"params"`
 }
 
-// wireResponse is the JSON-RPC 2.0 response envelope.
-type wireResponse struct {
-	ID     int64           `json:"id"`
-	Result json.RawMessage `json:"result"`
-	Error  *rpcError       `json:"error"`
+// wireResponse is the JSON-RPC 2.0 response envelope. Result decodes
+// straight into the method's Go type, so a response is decoded once, by the
+// single json.Unmarshal in post. An absent result decodes like null, except
+// for hexData, which records whether it was present.
+type wireResponse[T any] struct {
+	ID     int64     `json:"id"`
+	Result T         `json:"result"`
+	Error  *rpcError `json:"error"`
 }
 
-// call performs one JSON-RPC call with retry on transport errors, 429s and
-// 5xx statuses. JSON-RPC application errors are not retried: the server has
-// answered authoritatively.
-func (c *Client) call(ctx context.Context, method string, params ...any) (json.RawMessage, error) {
+// call performs one JSON-RPC call and decodes its result into T, with retry
+// on transport errors, torn bodies, 429s and 5xx statuses. JSON-RPC
+// application errors are not retried: the server has answered
+// authoritatively.
+func call[T any](ctx context.Context, c *Client, method string, params ...any) (T, error) {
+	var zero T
 	if params == nil {
 		params = []any{}
 	}
 	reqBody, err := json.Marshal(wireRequest{JSONRPC: "2.0", ID: c.nextID.Add(1), Method: method, Params: params})
 	if err != nil {
-		return nil, fmt.Errorf("ethrpc: marshal request: %w", err)
+		return zero, fmt.Errorf("ethrpc: marshal request: %w", err)
 	}
-	var rpcResp wireResponse
-	if err := c.post(ctx, reqBody, &rpcResp); err != nil {
-		return nil, fmt.Errorf("ethrpc: %s: %w", method, err)
+	var resp wireResponse[T]
+	if err := c.post(ctx, reqBody, &resp); err != nil {
+		return zero, fmt.Errorf("ethrpc: %s: %w", method, err)
 	}
-	if rpcResp.Error != nil {
-		return nil, rpcResp.Error
+	if resp.Error != nil {
+		return zero, resp.Error
 	}
-	return rpcResp.Result, nil
+	return resp.Result, nil
 }
 
-// callBatch sends one JSON-RPC 2.0 batch (an array of requests for the same
-// method) in a single HTTP round trip and returns the per-item results in
-// request order, matching responses by id as the spec allows reordering.
-// The first item-level application error fails the batch.
-func (c *Client) callBatch(ctx context.Context, method string, paramsList [][]any) ([]json.RawMessage, error) {
-	if len(paramsList) == 0 {
-		return nil, nil
-	}
-	n := int64(len(paramsList))
-	base := c.nextID.Add(n) - n + 1
-	reqs := make([]wireRequest, len(paramsList))
-	for i, params := range paramsList {
-		if params == nil {
-			params = []any{}
-		}
-		reqs[i] = wireRequest{JSONRPC: "2.0", ID: base + int64(i), Method: method, Params: params}
-	}
-	reqBody, err := json.Marshal(reqs)
-	if err != nil {
-		return nil, fmt.Errorf("ethrpc: marshal batch: %w", err)
-	}
-	var resps []wireResponse
-	if err := c.post(ctx, reqBody, &resps); err != nil {
-		return nil, fmt.Errorf("ethrpc: %s batch: %w", method, err)
-	}
-	byID := make(map[int64]*wireResponse, len(resps))
-	for i := range resps {
-		byID[resps[i].ID] = &resps[i]
-	}
-	out := make([]json.RawMessage, len(paramsList))
-	for i := range paramsList {
-		resp, ok := byID[base+int64(i)]
-		if !ok {
-			return nil, fmt.Errorf("ethrpc: %s batch: missing response for item %d", method, i)
-		}
-		if resp.Error != nil {
-			return nil, fmt.Errorf("ethrpc: %s batch item %d: %w", method, i, resp.Error)
-		}
-		out[i] = resp.Result
-	}
-	return out, nil
-}
-
-// post runs the retry loop around one HTTP exchange, decoding the response
-// body into `into`. A body that fails to decode counts as a transient fault
-// (torn proxy response) and is retried like a transport error. Retries sleep
-// a jittered exponential backoff, except after a 429 that carried a
-// Retry-After header — the server has named its price, so that wait (capped,
-// jittered) is honored instead.
+// post runs the retry loop around one HTTP exchange and decodes the
+// response body into `into` with one json.Unmarshal. Unmarshal checks the
+// whole document before it writes anything, so a syntax error means a torn
+// body (truncated or garbled in transit) that left `into` untouched: it is
+// retried like a transport fault. Any other decode error is well-formed JSON
+// of the wrong shape, the server's authoritative answer, and is not retried.
+// Retries sleep a jittered exponential backoff, except after a 429 that
+// carried a Retry-After header — the server has named its price, so that
+// wait (capped, jittered) is honored instead.
 func (c *Client) post(ctx context.Context, body []byte, into any) error {
 	var lastErr error
 	backoff := c.backoff
@@ -236,20 +201,12 @@ func (c *Client) post(ctx context.Context, body []byte, into any) error {
 		}
 		raw, retryable, err := c.once(ctx, body)
 		if err == nil {
-			// Validate the document shape first so a torn response never
-			// partially populates `into` and survives a later successful
-			// retry with stale fields.
-			var checked json.RawMessage
-			if err = json.Unmarshal(raw, &checked); err == nil {
-				if err = json.Unmarshal(checked, into); err != nil {
-					// Well-formed JSON of the wrong shape: the server has
-					// answered authoritatively, don't retry.
-					return fmt.Errorf("decode response: %w", err)
-				}
+			if err = json.Unmarshal(raw, into); err == nil {
 				return nil
 			}
+			var torn *json.SyntaxError
+			retryable = errors.As(err, &torn)
 			err = fmt.Errorf("decode response: %w", err)
-			retryable = true
 		}
 		lastErr = err
 		if !retryable {
@@ -258,6 +215,10 @@ func (c *Client) post(ctx context.Context, body []byte, into any) error {
 	}
 	return &transientError{fmt.Errorf("failed after %d attempts: %w", c.attempts, lastErr)}
 }
+
+// maxDrainBytes bounds how much of a non-200 body is read and discarded so
+// the transport can keep the connection alive.
+const maxDrainBytes = 64 << 10
 
 func (c *Client) once(ctx context.Context, body []byte) (raw []byte, retryable bool, err error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.endpoint, bytes.NewReader(body))
@@ -270,6 +231,12 @@ func (c *Client) once(ctx context.Context, body []byte) (raw []byte, retryable b
 		return nil, true, fmt.Errorf("transport: %w", err)
 	}
 	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		// Closing an unread body closes the connection, so a 429 storm would
+		// open one TCP connection per retry. Drain a bounded prefix instead;
+		// a failed drain costs only the connection, so its error is dropped.
+		_, _ = io.CopyN(io.Discard, resp.Body, maxDrainBytes)
+	}
 	if resp.StatusCode >= 500 {
 		return nil, true, fmt.Errorf("server status %d", resp.StatusCode)
 	}
@@ -305,78 +272,170 @@ func parseRetryAfter(v string) time.Duration {
 // GetCode fetches the deployed bytecode at addr ("latest" block). A nil,
 // nil return means no code is deployed there (an EOA).
 func (c *Client) GetCode(ctx context.Context, addr chain.Address) ([]byte, error) {
-	raw, err := c.call(ctx, "eth_getCode", addr.String(), "latest")
+	res, err := call[hexData](ctx, c, "eth_getCode", addr.String(), "latest")
 	if err != nil {
 		return nil, err
 	}
-	return decodeCodeResult(raw)
+	return res.code()
 }
 
 // GetCodeBatch fetches deployed bytecode for many addresses in one JSON-RPC
 // 2.0 batch round trip (the Watchtower's fetch hot path: amortizing the HTTP
 // exchange across a window's deployments is worth ~an order of magnitude in
-// contracts/sec). Results align with addrs; nil entries are EOAs.
+// contracts/sec). Results align with addrs; nil entries are EOAs. One
+// failed item fails the batch.
 func (c *Client) GetCodeBatch(ctx context.Context, addrs []chain.Address) ([][]byte, error) {
 	if len(addrs) == 0 {
 		return nil, nil
 	}
-	params := make([][]any, len(addrs))
+	n := int64(len(addrs))
+	base := c.nextID.Add(n) - n + 1
+	reqs := make([]wireRequest, len(addrs))
 	for i, a := range addrs {
-		params[i] = []any{a.String(), "latest"}
+		reqs[i] = wireRequest{JSONRPC: "2.0", ID: base + int64(i), Method: "eth_getCode", Params: []any{a.String(), "latest"}}
 	}
-	raws, err := c.callBatch(ctx, "eth_getCode", params)
+	reqBody, err := json.Marshal(reqs)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("ethrpc: marshal batch: %w", err)
 	}
-	out := make([][]byte, len(addrs))
-	for i, raw := range raws {
-		if out[i], err = decodeCodeResult(raw); err != nil {
-			return nil, err
+	resps := make([]wireResponse[hexData], 0, len(addrs))
+	if err := c.post(ctx, reqBody, &resps); err != nil {
+		return nil, fmt.Errorf("ethrpc: eth_getCode batch: %w", err)
+	}
+	return codesByID(resps, base, len(addrs))
+}
+
+// codesByID puts a batch of eth_getCode responses into request order (ids
+// base, base+1, …). The spec lets a server reorder a batch, so items are
+// matched by id: the last duplicate of an id wins and unknown ids are
+// ignored. A missing item, an item-level error or a result that is absent
+// or not hex fails the batch.
+func codesByID(resps []wireResponse[hexData], base int64, n int) ([][]byte, error) {
+	byID := make([]*wireResponse[hexData], n)
+	for j := range resps {
+		if k := resps[j].ID - base; k >= 0 && k < int64(n) {
+			byID[k] = &resps[j]
 		}
+	}
+	out := make([][]byte, n)
+	for i, resp := range byID {
+		if resp == nil {
+			return nil, fmt.Errorf("ethrpc: eth_getCode batch: missing response for item %d", i)
+		}
+		if resp.Error != nil {
+			return nil, fmt.Errorf("ethrpc: eth_getCode batch item %d: %w", i, resp.Error)
+		}
+		code, err := resp.Result.code()
+		if err != nil {
+			return nil, fmt.Errorf("%w (batch item %d)", err, i)
+		}
+		out[i] = code
 	}
 	return out, nil
 }
 
-func decodeCodeResult(raw json.RawMessage) ([]byte, error) {
-	var hexCode string
-	if err := json.Unmarshal(raw, &hexCode); err != nil {
-		return nil, fmt.Errorf("ethrpc: eth_getCode result not a string: %w", err)
+// hexData is a hex byte string of a response (an eth_getCode result, a tx's
+// input), decoded straight from the response bytes into its own []byte: one
+// allocation per payload and no intermediate string. Its UnmarshalJSON never
+// fails the surrounding decode; the outcome is kept for the caller, because a
+// batch may carry items whose content must not matter (unknown ids,
+// overwritten duplicates).
+type hexData struct {
+	b    []byte
+	err  error
+	seen bool // the field was present, null included
+}
+
+func (h *hexData) UnmarshalJSON(lit []byte) error {
+	h.b, h.err = decodeHexLiteral(lit)
+	h.seen = true
+	return nil
+}
+
+// code returns an eth_getCode result: nil for an EOA ("0x", "" or null), an
+// error when the result was absent, not a string or not hex. An absent
+// result must never read as an EOA.
+func (h *hexData) code() ([]byte, error) {
+	switch {
+	case !h.seen:
+		return nil, errors.New("ethrpc: eth_getCode response has neither result nor error")
+	case h.err != nil:
+		return nil, fmt.Errorf("ethrpc: bad eth_getCode result: %w", h.err)
 	}
-	if hexCode == "0x" || hexCode == "" {
+	return h.b, nil
+}
+
+// decodeHexLiteral decodes a JSON literal holding hex data: null is no data
+// and anything but a string is an error. The string is decoded from the raw
+// response bytes. Only when that fails and the literal holds a `\` escape is
+// it unquoted by encoding/json and decoded again: without an escape the raw
+// bytes are the string, except invalid UTF-8, which fails as hex either way.
+func decodeHexLiteral(lit []byte) ([]byte, error) {
+	if string(lit) == "null" {
 		return nil, nil
 	}
-	code, err := evm.DecodeHex(hexCode)
-	if err != nil {
-		return nil, fmt.Errorf("ethrpc: eth_getCode returned bad hex: %w", err)
+	if len(lit) < 2 || lit[0] != '"' {
+		return nil, fmt.Errorf("%.16s is not a string", lit)
 	}
-	return code, nil
+	b, err := decodeHex(lit[1 : len(lit)-1])
+	if err != nil && bytes.IndexByte(lit, '\\') >= 0 {
+		var s string
+		if err := json.Unmarshal(lit, &s); err != nil {
+			return nil, err
+		}
+		return decodeHex([]byte(s))
+	}
+	return b, err
+}
+
+// decodeHex decodes hex data the way evm.DecodeHex does, except that "" and
+// "0x" are no data (nil): surrounding whitespace is trimmed, then a "0x" and
+// a "0X" prefix, and an even number of hex digits must remain.
+func decodeHex(s []byte) ([]byte, error) {
+	if len(s) == 0 || string(s) == "0x" {
+		return nil, nil
+	}
+	s = bytes.TrimPrefix(bytes.TrimPrefix(bytes.TrimSpace(s), []byte("0x")), []byte("0X"))
+	if len(s)%2 != 0 {
+		return nil, fmt.Errorf("odd-length hex (%d nibbles)", len(s))
+	}
+	b := make([]byte, len(s)/2)
+	if _, err := hex.Decode(b, s); err != nil {
+		return nil, err
+	}
+	return b, nil
 }
 
 // BlockNumber returns the node's head block number.
 func (c *Client) BlockNumber(ctx context.Context) (uint64, error) {
-	raw, err := c.call(ctx, "eth_blockNumber")
+	s, err := call[string](ctx, c, "eth_blockNumber")
 	if err != nil {
 		return 0, err
 	}
-	return parseHexUint(raw)
+	return parseHexQuantity(s)
 }
 
 // ChainID returns the node's chain identifier.
 func (c *Client) ChainID(ctx context.Context) (uint64, error) {
-	raw, err := c.call(ctx, "eth_chainId")
+	s, err := call[string](ctx, c, "eth_chainId")
 	if err != nil {
 		return 0, err
 	}
-	return parseHexUint(raw)
+	return parseHexQuantity(s)
 }
 
+// parseHexUint reads a JSON hex-quantity string.
 func parseHexUint(raw json.RawMessage) (uint64, error) {
 	var s string
 	if err := json.Unmarshal(raw, &s); err != nil {
 		return 0, fmt.Errorf("ethrpc: result not a string: %w", err)
 	}
-	s = strings.TrimPrefix(s, "0x")
-	v, err := strconv.ParseUint(s, 16, 64)
+	return parseHexQuantity(s)
+}
+
+// parseHexQuantity parses a hex quantity ("0x1a"; some nodes omit the 0x).
+func parseHexQuantity(s string) (uint64, error) {
+	v, err := strconv.ParseUint(strings.TrimPrefix(s, "0x"), 16, 64)
 	if err != nil {
 		return 0, fmt.Errorf("ethrpc: bad hex quantity %q: %w", s, err)
 	}

@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
+	"math/rand"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -12,6 +15,7 @@ import (
 	"time"
 
 	"github.com/phishinghook/phishinghook/internal/chain"
+	"github.com/phishinghook/phishinghook/internal/evm"
 	"github.com/phishinghook/phishinghook/internal/synth"
 )
 
@@ -424,4 +428,318 @@ func TestBatchItemErrorFailsBatch(t *testing.T) {
 	if !strings.Contains(err.Error(), "bad address") {
 		t.Errorf("error should carry the item message: %v", err)
 	}
+}
+
+// scriptedServer answers the i-th request with bodies[i] (the last body once
+// the script runs out) and counts the requests it served.
+func scriptedServer(t *testing.T, bodies ...string) (*httptest.Server, *atomic.Int64) {
+	t.Helper()
+	var calls atomic.Int64
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		i := int(calls.Add(1)) - 1
+		if i >= len(bodies) {
+			i = len(bodies) - 1
+		}
+		w.Header().Set("Content-Type", "application/json")
+		_, _ = io.WriteString(w, bodies[i])
+	}))
+	t.Cleanup(srv.Close)
+	return srv, &calls
+}
+
+// TestClientRetriesTornBodyWithoutStaleFields pins the retry contract for a
+// torn body: the client retries it and returns the good answer after
+// exactly two requests. The torn bodies carry an error for id 1 (and, in
+// the batch, code for id 2); the good bodies answer id 1 with no error key
+// (and id 2 with "0x"). Had a torn body been even partly decoded, the error
+// or the code would outlive the retry.
+func TestClientRetriesTornBodyWithoutStaleFields(t *testing.T) {
+	ctx := context.Background()
+	t.Run("single", func(t *testing.T) {
+		srv, calls := scriptedServer(t,
+			`{"jsonrpc":"2.0","id":1,"error":{"code":-32000,"message":"stale"},"result":"0x60`,
+			`{"jsonrpc":"2.0","id":1,"result":"0x"}`)
+		client := NewClient(srv.URL, WithRetries(3, time.Millisecond))
+		code, err := client.GetCode(ctx, chain.DeriveAddress(1, 1))
+		if err != nil || code != nil {
+			t.Fatalf("GetCode = (%x, %v), want the good body's EOA", code, err)
+		}
+		if calls.Load() != 2 {
+			t.Errorf("server saw %d requests, want 2 (torn + good)", calls.Load())
+		}
+	})
+	t.Run("batch", func(t *testing.T) {
+		srv, calls := scriptedServer(t,
+			`[{"jsonrpc":"2.0","id":1,"error":{"code":-32000,"message":"stale"}},{"jsonrpc":"2.0","id":2,"result":"0x6001"},{"id":`,
+			`[{"jsonrpc":"2.0","id":2,"result":"0x"},{"jsonrpc":"2.0","id":1,"result":"0x60"}]`)
+		client := NewClient(srv.URL, WithRetries(3, time.Millisecond))
+		codes, err := client.GetCodeBatch(ctx, []chain.Address{chain.DeriveAddress(1, 1), chain.DeriveAddress(1, 2)})
+		if err != nil {
+			t.Fatalf("GetCodeBatch: %v", err)
+		}
+		if !bytes.Equal(codes[0], []byte{0x60}) || codes[1] != nil {
+			t.Errorf("GetCodeBatch = %x, want [60 <nil>]", codes)
+		}
+		if calls.Load() != 2 {
+			t.Errorf("server saw %d requests, want 2 (torn + good)", calls.Load())
+		}
+	})
+}
+
+// TestClientDoesNotRetryAuthoritativeAnswers pins the other half of the
+// contract: a well-formed body is the server's answer even when it is
+// unusable. Each case must fail after exactly one request, must not be
+// transient (the fetch plane would rotate endpoints on it), and must return
+// no codes — in particular an item with neither result nor error must never
+// read as an EOA.
+func TestClientDoesNotRetryAuthoritativeAnswers(t *testing.T) {
+	addrs := []chain.Address{chain.DeriveAddress(1, 1), chain.DeriveAddress(1, 2)}
+	for _, tc := range []struct{ name, body string }{
+		{"wrong shape", `{"jsonrpc":"2.0","id":1,"result":"0x60"}`},
+		{"bad hex item", `[{"jsonrpc":"2.0","id":1,"result":"0x60"},{"jsonrpc":"2.0","id":2,"result":"0x6g"}]`},
+		{"item without result or error", `[{"jsonrpc":"2.0","id":1,"result":"0x60"},{"jsonrpc":"2.0","id":2}]`},
+	} {
+		srv, calls := scriptedServer(t, tc.body)
+		client := NewClient(srv.URL, WithRetries(3, time.Millisecond))
+		codes, err := client.GetCodeBatch(context.Background(), addrs)
+		if err == nil || codes != nil {
+			t.Errorf("%s: GetCodeBatch = (%x, %v), want no codes and an error", tc.name, codes, err)
+		}
+		if IsTransient(err) {
+			t.Errorf("%s: %v classified transient", tc.name, err)
+		}
+		if calls.Load() != 1 {
+			t.Errorf("%s: server saw %d requests, want 1", tc.name, calls.Load())
+		}
+	}
+
+	srv, calls := scriptedServer(t, `{"jsonrpc":"2.0","id":1,"result":42}`)
+	client := NewClient(srv.URL, WithRetries(3, time.Millisecond))
+	if _, err := client.BlockNumber(context.Background()); err == nil || IsTransient(err) || calls.Load() != 1 {
+		t.Errorf("numeric eth_blockNumber result: err=%v after %d requests, want one authoritative failure", err, calls.Load())
+	}
+}
+
+// TestClientKeepsConnectionAcrossErrorStatuses pins the bounded drain: four
+// 429s (or 502s) and then a 200 must travel over one TCP connection. A
+// client that closes an unread error body makes the transport drop the
+// connection, so every retry would dial a new one.
+func TestClientKeepsConnectionAcrossErrorStatuses(t *testing.T) {
+	for _, status := range []int{http.StatusTooManyRequests, http.StatusBadGateway} {
+		var conns, calls atomic.Int64
+		srv := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if calls.Add(1) <= 4 {
+				http.Error(w, strings.Repeat("busy ", 200), status)
+				return
+			}
+			_, _ = io.WriteString(w, `{"jsonrpc":"2.0","id":5,"result":"0x2a"}`)
+		}))
+		srv.Config.ConnState = func(_ net.Conn, s http.ConnState) {
+			if s == http.StateNew {
+				conns.Add(1)
+			}
+		}
+		srv.Start()
+		client := NewClient(srv.URL, WithRetries(5, 2*time.Millisecond))
+		bn, err := client.BlockNumber(context.Background())
+		srv.Close()
+		if err != nil || bn != 42 {
+			t.Fatalf("status %d: BlockNumber = (%d, %v), want 42", status, bn, err)
+		}
+		if calls.Load() != 5 || conns.Load() != 1 {
+			t.Errorf("status %d: %d requests over %d connections, want 5 over 1", status, calls.Load(), conns.Load())
+		}
+	}
+}
+
+// codeBatchBody renders an eth_getCode batch response for ids 1..n in
+// reverse order, each result size bytes of pseudo-random code.
+func codeBatchBody(n, size int) []byte {
+	rng := rand.New(rand.NewSource(int64(n)))
+	items := make([]map[string]any, n)
+	for i := range items {
+		code := make([]byte, size)
+		rng.Read(code)
+		items[n-1-i] = map[string]any{"jsonrpc": "2.0", "id": i + 1, "result": evm.EncodeHex(code)}
+	}
+	body, err := json.Marshal(items)
+	if err != nil {
+		panic(err)
+	}
+	return body
+}
+
+// decodeCodeBatch is GetCodeBatch's decode of a response body for ids
+// 1..n: the one json.Unmarshal that post runs, then the id match.
+func decodeCodeBatch(body []byte, n int) ([][]byte, error) {
+	resps := make([]wireResponse[hexData], 0, n)
+	if err := json.Unmarshal(body, &resps); err != nil {
+		return nil, err
+	}
+	return codesByID(resps, 1, n)
+}
+
+// TestGetCodeBatchDecodeAllocs pins the decode's allocation budget: one
+// allocation per bytecode (its []byte) plus a constant that does not grow
+// with the batch.
+func TestGetCodeBatchDecodeAllocs(t *testing.T) {
+	const fixed = 12
+	excess := func(n int) float64 {
+		body := codeBatchBody(n, 256)
+		return testing.AllocsPerRun(20, func() {
+			if _, err := decodeCodeBatch(body, n); err != nil {
+				t.Fatal(err)
+			}
+		}) - float64(n)
+	}
+	small, large := excess(8), excess(64)
+	if small > fixed || large > small {
+		t.Errorf("decode allocates %.0f beyond one per bytecode for 8 items and %.0f for 64, want a constant <= %d",
+			small, large, fixed)
+	}
+}
+
+var decodedCodes [][]byte
+
+// BenchmarkGetCodeBatchDecode decodes a 64-item, ~128 KB eth_getCode batch
+// response.
+func BenchmarkGetCodeBatchDecode(b *testing.B) {
+	const n = 64
+	body := codeBatchBody(n, 980)
+	b.SetBytes(int64(len(body)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		codes, err := decodeCodeBatch(body, n)
+		if err != nil {
+			b.Fatal(err)
+		}
+		decodedCodes = codes
+	}
+}
+
+// bodyTransport answers every request with a 200 carrying the same body.
+type bodyTransport []byte
+
+func (t bodyTransport) RoundTrip(r *http.Request) (*http.Response, error) {
+	if r.Body != nil {
+		r.Body.Close()
+	}
+	return &http.Response{StatusCode: http.StatusOK, Header: http.Header{}, Body: io.NopCloser(bytes.NewReader(t))}, nil
+}
+
+// oracleCodes decodes an eth_getCode batch body for ids 1..n with
+// encoding/json and evm.DecodeHex alone, the way the client decoded before
+// it read hex in place: raw results matched by id (the last duplicate wins,
+// unknown ids are ignored), then a string unmarshal and DecodeHex per
+// result. The result is held raw, not as a *string, because null is an EOA
+// while an absent result fails the batch. ok is false when the batch fails.
+func oracleCodes(body []byte, n int) (codes [][]byte, ok bool) {
+	var items []struct {
+		ID     int64           `json:"id"`
+		Result json.RawMessage `json:"result"`
+		Error  *rpcError       `json:"error"`
+	}
+	if json.Unmarshal(body, &items) != nil {
+		return nil, false
+	}
+	byID := map[int64]int{}
+	for j := range items {
+		byID[items[j].ID] = j
+	}
+	for id := int64(1); id <= int64(n); id++ {
+		if j, found := byID[id]; !found || items[j].Error != nil {
+			return nil, false
+		}
+	}
+	codes = make([][]byte, n)
+	for i := range codes {
+		var s string
+		if json.Unmarshal(items[byID[int64(i+1)]].Result, &s) != nil {
+			return nil, false
+		}
+		if s == "" || s == "0x" {
+			continue
+		}
+		code, err := evm.DecodeHex(s)
+		if err != nil {
+			return nil, false
+		}
+		codes[i] = code
+	}
+	return codes, true
+}
+
+// FuzzGetCodeBatchDecode feeds arbitrary response bodies to GetCodeBatch
+// and to oracleCodes. Both must agree on success and, byte for byte, on the
+// codes, nil (an EOA) versus empty included; a failure must be transient
+// exactly when the body is not valid JSON (a torn body).
+func FuzzGetCodeBatchDecode(f *testing.F) {
+	for _, seed := range []struct {
+		n    uint8
+		body string
+	}{
+		{1, `[{"jsonrpc":"2.0","id":1,"result":"0x"}]`},
+		{1, `[{"id":1,"result":""}]`},
+		{1, `[{"id":1,"result":null}]`},
+		{1, `[{"id":1}]`},
+		{1, `[{"id":1,"result":"0X6001"}]`},
+		{1, `[{"id":1,"result":"0x0X"}]`},
+		{1, `[{"id":1,"result":"0x60AbCD"}]`},
+		{1, `[{"id":1,"result":"0x600"}]`},
+		{1, `[{"id":1,"result":"0x6z"}]`},
+		{1, `[{"id":1,"result":" 0x6001 "}]`},
+		{1, `[{"id":1,"result":"\t0x60\n"}]`},
+		{1, "[{\"id\":1,\"result\":\"\u00a00x60\"}]"},
+		{1, "[{\"id\":1,\"result\":\"\xc2\xa00x60\xff\"}]"},
+		{1, `[{"id":1,"result":"\u0030x60"}]`},
+		{1, `[{"id":1,"result":"0x\u0036\u0030"}]`},
+		{1, `[{"id":1,"result":42}]`},
+		{1, `[{"id":1,"result":{"code":"0x60"}}]`},
+		{1, `[{"id":1,"result":"0x60","result":null}]`},
+		{2, `[{"id":2,"result":"0x02"},{"id":1,"result":"0x01"}]`},
+		{1, `[{"id":1,"result":"0xzz"},{"id":1,"result":"0x01"}]`},
+		{1, `[{"id":1,"result":"0x01"},{"id":1,"result":"0xzz"}]`},
+		{1, `[{"id":1,"result":"0x01"},{"id":7,"result":"0xzz"},{"id":-3}]`},
+		{2, `[{"id":1,"result":"0x01"}]`},
+		{1, `[{"id":1,"error":{"code":-32602,"message":"bad address"}}]`},
+		{1, `[{"id":1,"result":"0x01","error":null}]`},
+		{2, `[{"id":1,"result":"0xzz"},{"id":2,"error":{"code":1,"message":"x"}}]`},
+		{1, `[{"id":"1","result":"0x01"}]`},
+		{1, `[{"id":1,"result":"0x6`},
+		{1, `{"id":1,"result":"0x60"}`},
+		{1, `null`},
+		{1, `[]`},
+		{1, ``},
+	} {
+		f.Add(seed.n, []byte(seed.body))
+	}
+	addrs := []chain.Address{chain.DeriveAddress(1, 1), chain.DeriveAddress(1, 2), chain.DeriveAddress(1, 3), chain.DeriveAddress(1, 4)}
+	f.Fuzz(func(t *testing.T, n uint8, body []byte) {
+		k := int(n) % len(addrs) // the batch asks for ids 1..k
+		if k == 0 {
+			k = len(addrs)
+		}
+		client := NewClient("http://node.invalid", WithRetries(1, time.Millisecond),
+			WithHTTPClient(&http.Client{Transport: bodyTransport(body)}))
+		got, err := client.GetCodeBatch(context.Background(), addrs[:k])
+		want, ok := oracleCodes(body, k)
+		if (err == nil) != ok {
+			t.Fatalf("client err = %v, oracle ok = %v", err, ok)
+		}
+		if err != nil {
+			if got != nil {
+				t.Fatalf("failed batch returned codes %x", got)
+			}
+			if IsTransient(err) == json.Valid(body) {
+				t.Fatalf("transient = %v for a body with valid JSON = %v: %v", IsTransient(err), json.Valid(body), err)
+			}
+			return
+		}
+		for i := range want {
+			if (got[i] == nil) != (want[i] == nil) || !bytes.Equal(got[i], want[i]) {
+				t.Fatalf("item %d: client %#v, oracle %#v", i, got[i], want[i])
+			}
+		}
+	})
 }

@@ -3,13 +3,11 @@ package ethrpc
 import (
 	"context"
 	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"strings"
 
 	"github.com/phishinghook/phishinghook/internal/chain"
-	"github.com/phishinghook/phishinghook/internal/evm"
 )
 
 // ErrFilterNotFound reports that the polled endpoint no longer knows the
@@ -33,12 +31,12 @@ func (t *PendingTx) HashHex() string { return "0x" + hex.EncodeToString(t.Hash[:
 
 // decodedWireTx mirrors the server's wireTx JSON shape for decoding.
 type decodedWireTx struct {
-	Hash        string `json:"hash"`
-	From        string `json:"from"`
-	To          string `json:"to"`
-	Value       string `json:"value"`
-	Input       string `json:"input"`
-	BlockNumber string `json:"blockNumber"`
+	Hash        string  `json:"hash"`
+	From        string  `json:"from"`
+	To          string  `json:"to"`
+	Value       string  `json:"value"`
+	Input       hexData `json:"input"`
+	BlockNumber string  `json:"blockNumber"`
 }
 
 func (w *decodedWireTx) decode() (PendingTx, error) {
@@ -55,17 +53,16 @@ func (w *decodedWireTx) decode() (PendingTx, error) {
 	if tx.To, err = chain.ParseAddress(w.To); err != nil {
 		return tx, err
 	}
-	if tx.Value, err = parseHexUint([]byte(`"` + w.Value + `"`)); err != nil {
+	if tx.Value, err = parseHexQuantity(w.Value); err != nil {
 		return tx, err
 	}
-	if tx.Block, err = parseHexUint([]byte(`"` + w.BlockNumber + `"`)); err != nil {
+	if tx.Block, err = parseHexQuantity(w.BlockNumber); err != nil {
 		return tx, err
 	}
-	if w.Input != "" && w.Input != "0x" {
-		if tx.Calldata, err = evm.DecodeHex(w.Input); err != nil {
-			return tx, fmt.Errorf("ethrpc: bad tx input: %w", err)
-		}
+	if w.Input.err != nil {
+		return tx, fmt.Errorf("ethrpc: bad tx input: %w", w.Input.err)
 	}
+	tx.Calldata = w.Input.b
 	return tx, nil
 }
 
@@ -82,15 +79,7 @@ func filterError(err error) error {
 // fromBlock and returns its ID. Filters are per-node server state: after a
 // failover the ID is worthless and must be reinstalled.
 func (c *Client) NewPendingTxFilter(ctx context.Context, fromBlock uint64) (string, error) {
-	raw, err := c.call(ctx, "eth_newPendingTransactionFilter", hexUint(fromBlock))
-	if err != nil {
-		return "", err
-	}
-	var id string
-	if err := json.Unmarshal(raw, &id); err != nil {
-		return "", fmt.Errorf("ethrpc: filter ID not a string: %w", err)
-	}
-	return id, nil
+	return call[string](ctx, c, "eth_newPendingTransactionFilter", hexUint(fromBlock))
 }
 
 // TxFilterChanges drains the filter's newly visible transactions (full tx
@@ -98,13 +87,9 @@ func (c *Client) NewPendingTxFilter(ctx context.Context, fromBlock uint64) (stri
 // token however many txs it returns. A forgotten filter surfaces as
 // ErrFilterNotFound.
 func (c *Client) TxFilterChanges(ctx context.Context, id string) ([]PendingTx, error) {
-	raw, err := c.call(ctx, "eth_getFilterChanges", id)
+	wire, err := call[[]decodedWireTx](ctx, c, "eth_getFilterChanges", id)
 	if err != nil {
 		return nil, filterError(err)
-	}
-	var wire []decodedWireTx
-	if err := json.Unmarshal(raw, &wire); err != nil {
-		return nil, fmt.Errorf("ethrpc: eth_getFilterChanges result: %w", err)
 	}
 	out := make([]PendingTx, len(wire))
 	for i := range wire {
@@ -117,30 +102,15 @@ func (c *Client) TxFilterChanges(ctx context.Context, id string) ([]PendingTx, e
 
 // UninstallFilter removes a filter, reporting whether the node knew it.
 func (c *Client) UninstallFilter(ctx context.Context, id string) (bool, error) {
-	raw, err := c.call(ctx, "eth_uninstallFilter", id)
-	if err != nil {
-		return false, err
-	}
-	var ok bool
-	if err := json.Unmarshal(raw, &ok); err != nil {
-		return false, fmt.Errorf("ethrpc: eth_uninstallFilter result: %w", err)
-	}
-	return ok, nil
+	return call[bool](ctx, c, "eth_uninstallFilter", id)
 }
 
 // GetTransactionByHash fetches one transaction; ok=false means the node does
 // not know the hash (result null).
 func (c *Client) GetTransactionByHash(ctx context.Context, hash [32]byte) (PendingTx, bool, error) {
-	raw, err := c.call(ctx, "eth_getTransactionByHash", "0x"+hex.EncodeToString(hash[:]))
-	if err != nil {
+	wire, err := call[*decodedWireTx](ctx, c, "eth_getTransactionByHash", "0x"+hex.EncodeToString(hash[:]))
+	if err != nil || wire == nil {
 		return PendingTx{}, false, err
-	}
-	if len(raw) == 0 || string(raw) == "null" {
-		return PendingTx{}, false, nil
-	}
-	var wire decodedWireTx
-	if err := json.Unmarshal(raw, &wire); err != nil {
-		return PendingTx{}, false, fmt.Errorf("ethrpc: eth_getTransactionByHash result: %w", err)
 	}
 	tx, err := wire.decode()
 	return tx, err == nil, err
