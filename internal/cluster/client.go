@@ -205,7 +205,7 @@ func (c *ScoreClient) exchange(ctx context.Context, base, path string, body []by
 		}
 		return nil, replicaFault(base, "transport", err)
 	}
-	defer resp.Body.Close()
+	defer ethrpc.CloseBody(resp)
 	switch {
 	case resp.StatusCode == http.StatusTooManyRequests:
 		ra := ethrpc.ParseRetryAfter(resp.Header.Get("Retry-After"))

@@ -544,7 +544,7 @@ func (rt *Router) postTx(ctx context.Context, base string, items []TxScoreItem) 
 		}
 		return nil, ethrpc.MarkTransient(fmt.Errorf("transport: %w", err))
 	}
-	defer resp.Body.Close()
+	defer ethrpc.CloseBody(resp)
 	switch {
 	case resp.StatusCode == http.StatusTooManyRequests:
 		ra := ethrpc.ParseRetryAfter(resp.Header.Get("Retry-After"))
@@ -590,7 +590,7 @@ func (rt *Router) post(ctx context.Context, base string, hexes []string) ([]Verd
 		}
 		return nil, ethrpc.MarkTransient(fmt.Errorf("transport: %w", err))
 	}
-	defer resp.Body.Close()
+	defer ethrpc.CloseBody(resp)
 	switch {
 	case resp.StatusCode == http.StatusTooManyRequests:
 		ra := ethrpc.ParseRetryAfter(resp.Header.Get("Retry-After"))

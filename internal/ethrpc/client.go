@@ -220,6 +220,19 @@ func (c *Client) post(ctx context.Context, body []byte, into any) error {
 // the transport can keep the connection alive.
 const maxDrainBytes = 64 << 10
 
+// CloseBody closes resp's body, first draining at most 64 KiB of it after a
+// non-200 status. Closing an unread body makes the transport drop the
+// connection, so a 429 storm would open one TCP connection per retry. A
+// failed drain costs only the connection, so its error is dropped. Every
+// retried HTTP exchange (this client, the scoring cluster's client and
+// router) closes its responses through it.
+func CloseBody(resp *http.Response) {
+	if resp.StatusCode != http.StatusOK {
+		_, _ = io.CopyN(io.Discard, resp.Body, maxDrainBytes)
+	}
+	resp.Body.Close()
+}
+
 func (c *Client) once(ctx context.Context, body []byte) (raw []byte, retryable bool, err error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.endpoint, bytes.NewReader(body))
 	if err != nil {
@@ -230,13 +243,7 @@ func (c *Client) once(ctx context.Context, body []byte) (raw []byte, retryable b
 	if err != nil {
 		return nil, true, fmt.Errorf("transport: %w", err)
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		// Closing an unread body closes the connection, so a 429 storm would
-		// open one TCP connection per retry. Drain a bounded prefix instead;
-		// a failed drain costs only the connection, so its error is dropped.
-		_, _ = io.CopyN(io.Discard, resp.Body, maxDrainBytes)
-	}
+	defer CloseBody(resp)
 	if resp.StatusCode >= 500 {
 		return nil, true, fmt.Errorf("server status %d", resp.StatusCode)
 	}

@@ -58,31 +58,23 @@ func FitForest(X [][]float64, y []int, cfg ForestConfig) *Forest {
 	}
 	f := &Forest{TreeList: make([]*Tree, cfg.Trees), nFeat: d}
 
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, cfg.Workers)
-	for t := 0; t < cfg.Trees; t++ {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(t int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			rng := rand.New(rand.NewSource(cfg.Seed + int64(t)*7919))
-			n := len(X)
-			bx := make([][]float64, n)
-			by := make([]int, n)
-			for i := 0; i < n; i++ {
-				j := rng.Intn(n)
-				bx[i] = X[j]
-				by[i] = y[j]
+	// The rank tables are the only training state the trees share; they
+	// are read-only here and garbage once FitForest returns.
+	n := len(X)
+	t := newRankTables(X, cfg.Workers)
+	tcfg := Config{MaxDepth: cfg.MaxDepth, MinLeaf: cfg.MinLeaf, MaxFeatures: maxFeat}
+	parallelChunks(cfg.Trees, cfg.Workers, func(lo, hi int) {
+		b := newBuilder(t, tcfg, nil)
+		for k := lo; k < hi; k++ {
+			// Each tree owns a seed derived from its index: it draws its
+			// bootstrap, then its feature subsets, from one stream.
+			b.rng = rand.New(rand.NewSource(cfg.Seed + int64(k)*7919))
+			for i := range b.rows {
+				b.rows[i] = int32(b.rng.Intn(n))
 			}
-			f.TreeList[t] = Fit(bx, by, Config{
-				MaxDepth:    cfg.MaxDepth,
-				MinLeaf:     cfg.MinLeaf,
-				MaxFeatures: maxFeat,
-			}, rng)
-		}(t)
-	}
-	wg.Wait()
+			f.TreeList[k] = b.fit(y)
+		}
+	})
 	f.flat = flatten(f.TreeList)
 	return f
 }
@@ -119,32 +111,33 @@ func (f *Forest) NumFeatures() int { return f.nFeat }
 
 // parallelFor runs fn(i) for i in [0,n) across GOMAXPROCS goroutines.
 func parallelFor(n int, fn func(int)) {
-	workers := runtime.GOMAXPROCS(0)
+	parallelChunks(n, runtime.GOMAXPROCS(0), func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			fn(i)
+		}
+	})
+}
+
+// parallelChunks splits [0,n) into at most workers contiguous chunks and
+// runs fn on each in its own goroutine (inline when there is one chunk).
+func parallelChunks(n, workers int, fn func(lo, hi int)) {
 	if workers > n {
 		workers = n
 	}
 	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
+		if n > 0 {
+			fn(0, n)
 		}
 		return
 	}
 	var wg sync.WaitGroup
 	chunk := (n + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo, hi := w*chunk, (w+1)*chunk
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			break
-		}
+	for lo := 0; lo < n; lo += chunk {
+		hi := min(lo+chunk, n)
 		wg.Add(1)
 		go func(lo, hi int) {
 			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				fn(i)
-			}
+			fn(lo, hi)
 		}(lo, hi)
 	}
 	wg.Wait()

@@ -6,7 +6,7 @@ package tree
 import (
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 )
 
 // Node is one tree node in the flat node array. Leaves have Feature == -1.
@@ -46,104 +46,176 @@ func Fit(X [][]float64, y []int, cfg Config, rng *rand.Rand) *Tree {
 	if len(X) == 0 || len(X) != len(y) {
 		panic(fmt.Sprintf("tree: bad training shape n=%d labels=%d", len(X), len(y)))
 	}
-	if cfg.MinLeaf <= 0 {
-		cfg.MinLeaf = 1
+	b := newBuilder(newRankTables(X, 1), cfg, rng)
+	for i := range b.rows {
+		b.rows[i] = int32(i)
 	}
-	t := &Tree{}
-	idx := make([]int, len(X))
-	for i := range idx {
-		idx[i] = i
+	return b.fit(y)
+}
+
+// rankTables hold, for every feature, its sorted distinct training values
+// and each training row's rank among them. A forest builds them once and
+// every tree reads them, so split search scans compact int32 columns
+// instead of sorting rows through [][]float64 pointers.
+type rankTables struct {
+	n    int         // training rows
+	vals [][]float64 // vals[f]: feature f's distinct values, ascending
+	// ranks[f*n+i] is row i's index in vals[f]: feature-major, so one
+	// feature's ranks are one contiguous column.
+	ranks []int32
+	maxD  int // the largest len(vals[f])
+}
+
+// newRankTables builds the tables for X, one feature at a time across
+// workers goroutines.
+func newRankTables(X [][]float64, workers int) *rankTables {
+	n, d := len(X), len(X[0])
+	t := &rankTables{n: n, vals: make([][]float64, d), ranks: make([]int32, n*d)}
+	parallelChunks(d, workers, func(lo, hi int) {
+		sorted := make([]float64, n)
+		for f := lo; f < hi; f++ {
+			for i, x := range X {
+				sorted[i] = x[f]
+			}
+			slices.Sort(sorted)
+			// Compact merges values that compare equal (-0 and +0 too),
+			// exactly the ties a sorted scan cannot split between.
+			vals := slices.Clone(slices.Compact(sorted))
+			col := t.column(f)
+			for i, x := range X {
+				r, _ := slices.BinarySearch(vals, x[f])
+				col[i] = int32(r)
+			}
+			t.vals[f] = vals
+		}
+	})
+	for _, v := range t.vals {
+		t.maxD = max(t.maxD, len(v))
 	}
-	b := &builder{X: X, y: y, cfg: cfg, rng: rng, tree: t}
-	b.grow(idx, 0)
 	return t
 }
 
+// column returns feature f's ranks, indexed by training row.
+func (t *rankTables) column(f int) []int32 { return t.ranks[f*t.n : (f+1)*t.n] }
+
+// builder grows one tree over shared rank tables. Its buffers are its own,
+// so trees grow in parallel, and a worker reuses one builder across trees.
 type builder struct {
-	X    [][]float64
-	y    []int
+	t    *rankTables
 	cfg  Config
 	rng  *rand.Rand
 	tree *Tree
+	// rows holds the tree's training rows as indices into the tables, with
+	// duplicates for bootstrap repeats. Each node owns a segment of it,
+	// positives first, so no loop below looks at a label.
+	rows  []int32
+	spill []int32 // partition scratch: the rows that go right
+	// pos and neg tally positive and negative rows per rank; all zero
+	// between uses.
+	pos, neg []int32
+	// keys (rank<<1 | label, for nodes sorted instead of counted) and runs
+	// never outgrow maxD: a node sorts only when it has fewer rows than the
+	// feature has values.
+	keys  []uint32
+	runs  []run // the values present at a node, ascending
+	feats []int // candidate features
 }
 
-// grow recursively builds the subtree over idx, returning its node index.
-func (b *builder) grow(idx []int, depth int) int {
-	pos := 0
-	for _, i := range idx {
-		pos += b.y[i]
+// run is one distinct value present at a node: its rank, how many of the
+// node's rows hold it and how many of those are positive.
+type run struct{ rank, n, pos int32 }
+
+func newBuilder(t *rankTables, cfg Config, rng *rand.Rand) *builder {
+	if cfg.MinLeaf <= 0 {
+		cfg.MinLeaf = 1
 	}
-	n := len(idx)
+	b := &builder{
+		t: t, cfg: cfg, rng: rng,
+		rows:  make([]int32, t.n),
+		spill: make([]int32, 0, t.n),
+		pos:   make([]int32, t.maxD),
+		neg:   make([]int32, t.maxD),
+		keys:  make([]uint32, t.maxD),
+		runs:  make([]run, 0, t.maxD),
+		feats: make([]int, len(t.vals)),
+	}
+	for i := range b.feats {
+		b.feats[i] = i
+	}
+	return b
+}
+
+// fit grows a fresh tree over the builder's rows, after moving the
+// positives to the front.
+func (b *builder) fit(y []int) *Tree {
+	p, q := 0, len(b.rows)
+	for p < q {
+		if y[b.rows[p]] != 0 {
+			p++
+		} else {
+			q--
+			b.rows[p], b.rows[q] = b.rows[q], b.rows[p]
+		}
+	}
+	b.tree = &Tree{}
+	b.grow(b.rows, p, 0)
+	return b.tree
+}
+
+// grow recursively builds the subtree over seg (npos positives first),
+// returning its node index.
+func (b *builder) grow(seg []int32, npos, depth int) int {
+	n := len(seg)
 	node := Node{
 		Feature: -1,
-		Value:   float64(pos) / float64(n),
+		Value:   float64(npos) / float64(n),
 		Cover:   float64(n),
 	}
 	self := len(b.tree.Nodes)
 	b.tree.Nodes = append(b.tree.Nodes, node)
 
-	if pos == 0 || pos == n || (b.cfg.MaxDepth > 0 && depth >= b.cfg.MaxDepth) || n < 2*b.cfg.MinLeaf {
+	if npos == 0 || npos == n || (b.cfg.MaxDepth > 0 && depth >= b.cfg.MaxDepth) || n < 2*b.cfg.MinLeaf {
 		return self
 	}
-	feat, thr, ok := b.bestSplit(idx)
+	feat, thr, ok := b.bestSplit(seg, npos)
 	if !ok {
 		return self
 	}
-	var left, right []int
-	for _, i := range idx {
-		if b.X[i][feat] <= thr {
-			left = append(left, i)
-		} else {
-			right = append(right, i)
-		}
-	}
-	if len(left) < b.cfg.MinLeaf || len(right) < b.cfg.MinLeaf {
+	nl, lpos := b.partition(seg, npos, feat, thr)
+	if nl < b.cfg.MinLeaf || n-nl < b.cfg.MinLeaf {
 		return self
 	}
 	b.tree.Nodes[self].Feature = feat
 	b.tree.Nodes[self].Threshold = thr
-	l := b.grow(left, depth+1)
-	r := b.grow(right, depth+1)
+	l := b.grow(seg[:nl], lpos, depth+1)
+	r := b.grow(seg[nl:], npos-lpos, depth+1)
 	b.tree.Nodes[self].Left = l
 	b.tree.Nodes[self].Right = r
 	return self
 }
 
-// bestSplit scans candidate features for the largest Gini impurity decrease.
-func (b *builder) bestSplit(idx []int) (feature int, threshold float64, ok bool) {
-	d := len(b.X[0])
-	feats := b.candidateFeatures(d)
-	n := float64(len(idx))
-
+// bestSplit scans candidate features for the largest Gini impurity
+// decrease, evaluating every boundary between values present at the node
+// in ascending order. Ties keep the first boundary found.
+func (b *builder) bestSplit(seg []int32, npos int) (feature int, threshold float64, ok bool) {
+	n := float64(len(seg))
+	parentGini := giniImpurity(float64(npos), n)
 	bestGain := 1e-12
-	sorted := make([]int, len(idx))
-	for _, f := range feats {
-		copy(sorted, idx)
-		sort.Slice(sorted, func(a, c int) bool { return b.X[sorted[a]][f] < b.X[sorted[c]][f] })
-
-		totalPos := 0
-		for _, i := range sorted {
-			totalPos += b.y[i]
-		}
-		parentGini := giniImpurity(float64(totalPos), n)
-
+	for _, f := range b.candidateFeatures() {
+		runs := b.presentValues(f, seg, npos)
 		leftPos, leftN := 0, 0.0
-		for k := 0; k < len(sorted)-1; k++ {
-			i := sorted[k]
-			leftPos += b.y[i]
-			leftN++
-			xv, xn := b.X[i][f], b.X[sorted[k+1]][f]
-			if xv == xn {
-				continue // can only split between distinct values
-			}
+		for k := 0; k < len(runs)-1; k++ {
+			leftPos += int(runs[k].pos)
+			leftN += float64(runs[k].n)
 			rightN := n - leftN
 			gain := parentGini -
 				(leftN/n)*giniImpurity(float64(leftPos), leftN) -
-				(rightN/n)*giniImpurity(float64(totalPos-leftPos), rightN)
+				(rightN/n)*giniImpurity(float64(npos-leftPos), rightN)
 			if gain > bestGain {
 				bestGain = gain
 				feature = f
-				threshold = (xv + xn) / 2
+				vals := b.t.vals[f]
+				threshold = (vals[runs[k].rank] + vals[runs[k+1].rank]) / 2
 				ok = true
 			}
 		}
@@ -151,18 +223,87 @@ func (b *builder) bestSplit(idx []int) (feature int, threshold float64, ok bool)
 	return feature, threshold, ok
 }
 
-// candidateFeatures returns the feature subset for this split.
-func (b *builder) candidateFeatures(d int) []int {
-	m := b.cfg.MaxFeatures
-	if m <= 0 || m >= d || b.rng == nil {
-		all := make([]int, d)
-		for i := range all {
-			all[i] = i
+// presentValues lists the values of feature f held by seg's rows, ascending,
+// with per-value row and positive counts. Only the number of rows at each
+// value matters to a split between values, not their order, so a feature
+// with no more distinct values than the node has rows is counted per rank
+// in O(rows + values); on smaller nodes the rows' ranks are sorted instead.
+func (b *builder) presentValues(f int, seg []int32, npos int) []run {
+	col := b.t.column(f)
+	runs := b.runs[:0]
+	if d := len(b.t.vals[f]); d <= len(seg) {
+		pos, neg := b.pos[:d], b.neg[:d]
+		for _, i := range seg[:npos] {
+			pos[col[i]]++
 		}
-		return all
+		for _, i := range seg[npos:] {
+			neg[col[i]]++
+		}
+		for r, p := range pos {
+			if c := p + neg[r]; c != 0 {
+				runs = append(runs, run{rank: int32(r), n: c, pos: p})
+				pos[r], neg[r] = 0, 0
+			}
+		}
+	} else {
+		keys := b.keys[:len(seg)]
+		for k, i := range seg[:npos] {
+			keys[k] = uint32(col[i])<<1 | 1
+		}
+		for k, i := range seg[npos:] {
+			keys[npos+k] = uint32(col[i]) << 1
+		}
+		slices.Sort(keys)
+		for _, key := range keys {
+			r := int32(key >> 1)
+			if len(runs) == 0 || runs[len(runs)-1].rank != r {
+				runs = append(runs, run{rank: r})
+			}
+			last := &runs[len(runs)-1]
+			last.n++
+			last.pos += int32(key & 1)
+		}
 	}
-	perm := b.rng.Perm(d)
-	return perm[:m]
+	return runs
+}
+
+// partition reorders seg so the rows with x[f] <= thr come first, each side
+// keeping its positives first, and returns the left size and its positive
+// count. It compares values, not ranks: a midpoint that rounds onto the
+// upper value sends that value left, as the threshold says.
+func (b *builder) partition(seg []int32, npos, f int, thr float64) (nl, lpos int) {
+	col, vals := b.t.column(f), b.t.vals[f]
+	spill := b.spill[:0]
+	for k, i := range seg {
+		if k == npos {
+			lpos = nl
+		}
+		if vals[col[i]] <= thr {
+			seg[nl] = i
+			nl++
+		} else {
+			spill = append(spill, i)
+		}
+	}
+	copy(seg[nl:], spill)
+	return nl, lpos
+}
+
+// candidateFeatures returns the feature subset for this split. Subsampling
+// draws rand.Perm(d) into a reused buffer with Perm's exact Intn sequence,
+// so the rng stream, and every later split and tree, is unchanged.
+func (b *builder) candidateFeatures() []int {
+	d, m := len(b.feats), b.cfg.MaxFeatures
+	if m <= 0 || m >= d || b.rng == nil {
+		return b.feats
+	}
+	p := b.feats
+	for i := 0; i < d; i++ {
+		j := b.rng.Intn(i + 1)
+		p[i] = p[j]
+		p[j] = i
+	}
+	return p[:m]
 }
 
 // giniImpurity computes 2p(1-p) scaled Gini for a binary node with pos
