@@ -5,8 +5,7 @@ package phishinghook
 // training, measurement, statistical analysis) on a reduced corpus sized
 // for laptop runs, reporting the headline numbers as custom benchmark
 // metrics. cmd/benchtables prints the full rows/series (and its -full mode
-// runs the paper-scale protocol); EXPERIMENTS.md records paper-vs-measured
-// values for every artefact.
+// runs the paper-scale protocol).
 
 import (
 	"context"

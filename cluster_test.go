@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -820,4 +821,132 @@ func TestWatchThroughClusterReplicaKill(t *testing.T) {
 	if truePos*2 < len(alerts) {
 		t.Errorf("alert precision %d/%d below 50%%", truePos, len(alerts))
 	}
+}
+
+// tokenBucket is a blocking rate limiter: Wait returns once n tokens are
+// available, modelling a replica's scoring capacity without an error path.
+// It starts full (tokens == burst).
+type tokenBucket struct {
+	mu                  sync.Mutex
+	rate, burst, tokens float64
+	last                time.Time
+}
+
+func (tb *tokenBucket) Wait(ctx context.Context, n float64) error {
+	for {
+		tb.mu.Lock()
+		now := time.Now()
+		tb.tokens = math.Min(tb.burst, tb.tokens+now.Sub(tb.last).Seconds()*tb.rate)
+		tb.last = now
+		if tb.tokens >= n {
+			tb.tokens -= n
+			tb.mu.Unlock()
+			return nil
+		}
+		need := time.Duration((n - tb.tokens) / tb.rate * float64(time.Second))
+		tb.mu.Unlock()
+		select {
+		case <-ctx.Done():
+			return ctx.Err()
+		case <-time.After(need):
+		}
+	}
+}
+
+// limitedBackend throttles a detector to its bucket's scoring rate.
+type limitedBackend struct {
+	*Detector
+	bucket *tokenBucket
+}
+
+func (b *limitedBackend) ScoreBatch(ctx context.Context, codes [][]byte) ([]Verdict, error) {
+	if err := b.bucket.Wait(ctx, float64(len(codes))); err != nil {
+		return nil, err
+	}
+	return b.Detector.ScoreBatch(ctx, codes)
+}
+
+// TestRouterScalesAcrossReplicas gates the scoring cluster's scale-out over
+// replicas limited to 400 scores/s (burst 64) each: 16 clients routing 400
+// unique bytecodes three times over, in batches of 64, get at least 3x the
+// throughput from 4 replicas as from one. Every round also checks that the
+// cluster-wide cache hit rate stays within 0.01 of the single replica's:
+// consistent hashing gives each unique bytecode one cold miss cluster-wide,
+// where spraying over 4 replicas would quadruple the misses.
+func TestRouterScalesAcrossReplicas(t *testing.T) {
+	sim, det := quotaFixture(t, 400, 0)
+	var blob bytes.Buffer
+	if err := det.Save(&blob); err != nil {
+		t.Fatal(err)
+	}
+	unique := sim.RawDataset().Samples
+	unique = unique[:min(len(unique), 400)]
+	var workload [][]byte
+	for r := 0; r < 3; r++ {
+		for _, s := range unique {
+			workload = append(workload, s.Bytecode)
+		}
+	}
+	// measure routes the workload over n freshly loaded replicas, each with
+	// its own cold cache as in a cluster of processes, and returns scores/s
+	// and the cluster-wide cache hit rate.
+	measure := func(n int) (rate, hitRate float64) {
+		backends := make([]*limitedBackend, n)
+		var urls []string
+		for i := range backends {
+			d, err := LoadDetector(bytes.NewReader(blob.Bytes()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			backends[i] = &limitedBackend{Detector: d, bucket: &tokenBucket{rate: 400, burst: 64, tokens: 64, last: time.Now()}}
+			srv := httptest.NewServer(NewScoreHandler(backends[i], WithClusterRole("replica")))
+			defer srv.Close()
+			urls = append(urls, srv.URL)
+		}
+		rt, err := NewClusterRouter(ClusterConfig{Replicas: urls})
+		if err != nil {
+			t.Fatal(err)
+		}
+		batches := make(chan [][]byte, len(workload)/64+1)
+		for i := 0; i < len(workload); i += 64 {
+			batches <- workload[i:min(i+64, len(workload))]
+		}
+		close(batches)
+		t0 := time.Now()
+		var wg sync.WaitGroup
+		errs := make(chan error, 16)
+		for c := 0; c < 16; c++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for batch := range batches {
+					if _, err := rt.RouteBatch(context.Background(), batch); err != nil {
+						errs <- err
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		close(errs)
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+		rate = float64(len(workload)) / time.Since(t0).Seconds()
+		var hits, misses uint64
+		for _, b := range backends {
+			h, m := b.CacheStats()
+			hits, misses = hits+h, misses+m
+		}
+		return rate, float64(hits) / float64(hits+misses)
+	}
+	bestOfRounds(t, 3.0, func() float64 {
+		one, oneHit := measure(1)
+		four, fourHit := measure(4)
+		t.Logf("cache hit rate: 1 replica %.3f, 4 replicas %.3f", oneHit, fourHit)
+		if fourHit < oneHit-0.01 {
+			t.Fatalf("cluster-wide cache hit rate %.3f fell more than 0.01 below one replica's %.3f", fourHit, oneHit)
+		}
+		return four / one
+	})
 }

@@ -5,7 +5,15 @@
 // finishes on a laptop; -full switches to the paper's scale (7,000 samples,
 // 10-fold × 3 runs) and can take hours on CPU.
 //
-//	benchtables [-seed N] [-full] [-only table2,fig8,...]
+//	benchtables [-seed N] [-full] [-only table2,fig8,...] [-n N]
+//
+// Four gated modes each write their rows to the named JSON file and exit
+// non-zero when a gate fails:
+//
+//	benchtables -lifecycle BENCH_lifecycle.json     swap latency and shadow-mode overhead
+//	benchtables -nn BENCH_nn.json                   compiled flat deep models vs the closure reference
+//	benchtables -adversarial BENCH_adversarial.json evasion attack vs hardened detectors
+//	benchtables -chaos BENCH_chaos.json             pipelines under deterministic fault schedules
 package main
 
 import (
@@ -26,63 +34,22 @@ func main() {
 	full := flag.Bool("full", false, "paper-scale corpus and CV protocol (slow)")
 	only := flag.String("only", "", "comma-separated artefact list (default: all)")
 	n := flag.Int("n", 0, "override unique-phishing count (quick mode sizing)")
-	hotpath := flag.String("hotpath", "", "write featurize/score hot-path benchmarks to this JSON file and exit (fails if the cached Score path allocates)")
 	lifecycleOut := flag.String("lifecycle", "", "write model-lifecycle benchmarks (swap latency, shadow-mode overhead) to this JSON file and exit (fails if shadow overhead exceeds 10%)")
-	backfillOut := flag.String("backfill", "", "write backfill-vs-watcher throughput benchmarks over a rate-limited RPC plane to this JSON file and exit (fails if the multi-endpoint speedup is below 2x)")
-	clusterOut := flag.String("cluster", "", "write scoring-cluster benchmarks (1 vs 2 vs 4 rate-limited replicas behind the consistent-hash router) to this JSON file and exit (fails below a 3x 4-replica speedup or if the cluster-wide cache hit rate drops)")
-	txstreamOut := flag.String("txstream", "", "write tx-stream benchmarks (pending-tx item rate vs the contract watcher on one rate-limited endpoint, cached fused-score allocs, kill/resume exactly-once) to this JSON file and exit (fails below a 5x item-rate speedup)")
 	nnOut := flag.String("nn", "", "write deep-model serving benchmarks (closure reference vs compiled flat program) to this JSON file and exit (fails if the flat path allocates, float parity exceeds 1e-6, or the geomean flat speedup regresses below its floor)")
 	adversarialOut := flag.String("adversarial", "", "write adversarial-robustness benchmarks (greedy bytecode-evasion attack vs raw-feature baselines and their canonical+augmented hardened twins) to this JSON file and exit (fails if the baseline resists the attack, the hardened model does not at least halve the evasion rate, clean holdout AUC regresses beyond 0.01, or the cached hardened Score path allocates)")
 	chaosOut := flag.String("chaos", "", "write chaos-soak verdicts (pipelines under deterministic fault schedules: lost/duplicate alerts, breaker trips, post-blackout recovery, watchdog ejections) to this JSON file and exit (fails on any lost or duplicate alert, a missed breaker trip, recovery beyond 2 polling windows, or an unejected hung replica)")
 	flag.Parse()
 
-	if *hotpath != "" {
-		if err := runHotpath(*seed, *hotpath); err != nil {
-			log.Fatal(err)
+	for _, m := range []struct {
+		path *string
+		run  func(seed int64, path string) error
+	}{{lifecycleOut, runLifecycle}, {nnOut, runNNBench}, {adversarialOut, runAdversarial}, {chaosOut, runChaosBench}} {
+		if *m.path != "" {
+			if err := m.run(*seed, *m.path); err != nil {
+				log.Fatal(err)
+			}
+			return
 		}
-		return
-	}
-	if *lifecycleOut != "" {
-		if err := runLifecycle(*seed, *lifecycleOut); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
-	if *backfillOut != "" {
-		if err := runBackfillBench(*seed, *backfillOut); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
-	if *clusterOut != "" {
-		if err := runClusterBench(*seed, *clusterOut); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
-	if *txstreamOut != "" {
-		if err := runTxstreamBench(*seed, *txstreamOut); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
-	if *nnOut != "" {
-		if err := runNNBench(*seed, *nnOut); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
-	if *adversarialOut != "" {
-		if err := runAdversarial(*seed, *adversarialOut); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
-	if *chaosOut != "" {
-		if err := runChaosBench(*seed, *chaosOut); err != nil {
-			log.Fatal(err)
-		}
-		return
 	}
 
 	want := map[string]bool{}

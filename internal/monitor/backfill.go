@@ -208,11 +208,12 @@ func partitionRange(from, to uint64, n int) []shard {
 }
 
 // resumeFrom installs a checkpoint. A checkpoint carrying shard marks must
-// describe the same overall range; its shard layout then wins over the
-// configured Shards count (cursors are only meaningful against the layout
-// that produced them). A plain watcher checkpoint (no shards) contributes
-// just its dedup set — scans restart from scratch but already-judged
-// bytecodes still collapse into dedup hits.
+// describe the same overall range, tiled in order with neither gap nor
+// overlap (each mark starts the block after the previous one ends); its
+// shard layout then wins over the configured Shards count (cursors are
+// only meaningful against the layout that produced them). A plain watcher
+// checkpoint (no shards) contributes just its dedup set — scans restart
+// from scratch but already-judged bytecodes still collapse into dedup hits.
 func (b *Backfill) resumeFrom(cp checkpoint) error {
 	hashes, err := cp.decodeSeen()
 	if err != nil {
@@ -229,12 +230,14 @@ func (b *Backfill) resumeFrom(cp checkpoint) error {
 			b.cfg.CheckpointPath, first, last, b.cfg.From, b.cfg.To)
 	}
 	shards := make([]shard, len(cp.Shards))
+	next := b.cfg.From
 	for i, m := range cp.Shards {
-		if m.From > m.To || m.Cursor < m.From-1 || m.Cursor > m.To {
-			return fmt.Errorf("monitor: checkpoint %s shard %d has inconsistent marks [%d, %d] cursor %d",
-				b.cfg.CheckpointPath, i, m.From, m.To, m.Cursor)
+		if m.From != next || m.From > m.To || m.Cursor < m.From-1 || m.Cursor > m.To {
+			return fmt.Errorf("monitor: checkpoint %s shard %d has inconsistent marks [%d, %d] cursor %d (the range continues at block %d)",
+				b.cfg.CheckpointPath, i, m.From, m.To, m.Cursor, next)
 		}
 		shards[i] = shard{from: m.From, to: m.To, cursor: m.Cursor}
+		next = m.To + 1
 	}
 	b.shards = shards
 	return nil

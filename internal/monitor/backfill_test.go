@@ -3,7 +3,9 @@ package monitor
 import (
 	"context"
 	"crypto/sha256"
+	"encoding/json"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"sync/atomic"
 	"testing"
@@ -249,8 +251,8 @@ func TestBackfillKillAndResume(t *testing.T) {
 
 // TestBackfillCheckpointCompatibility pins the format contract both ways: a
 // plain watcher checkpoint feeds its dedup set into a backfill, and a
-// backfill checkpoint for a different range is refused instead of silently
-// rescanned.
+// backfill checkpoint for a different range, or whose shard marks leave a
+// gap or overlap, is refused instead of silently rescanned.
 func TestBackfillCheckpointCompatibility(t *testing.T) {
 	_, scorer, cfg := backfillHarness(t, 93, 1)
 	dir := t.TempDir()
@@ -290,6 +292,27 @@ func TestBackfillCheckpointCompatibility(t *testing.T) {
 	if _, err := NewBackfill(scorer, cfgO); err == nil {
 		t.Fatal("checkpoint for a different range accepted")
 	}
+
+	// Marks with the right ends must still tile the range: resuming past a
+	// gap would end at Cursor() == To with the gap never scanned.
+	mid := (cfg.From + cfg.To) / 2
+	for _, tc := range []struct {
+		name  string
+		marks []shardMark
+	}{
+		{"gap", []shardMark{{From: cfg.From, To: cfg.From + 10, Cursor: cfg.From + 10}, {From: mid, To: cfg.To, Cursor: mid - 1}}},
+		{"overlap", []shardMark{{From: cfg.From, To: mid, Cursor: cfg.From - 1}, {From: mid - 10, To: cfg.To, Cursor: mid - 11}}},
+	} {
+		path := filepath.Join(dir, tc.name+".json")
+		if err := saveCheckpoint(path, checkpoint{Cursor: cfg.From - 1, Shards: tc.marks}); err != nil {
+			t.Fatal(err)
+		}
+		bad := cfg
+		bad.CheckpointPath = path
+		if _, err := NewBackfill(scorer, bad); err == nil {
+			t.Errorf("checkpoint whose shard marks %s accepted", tc.name)
+		}
+	}
 }
 
 func hexHash(h [32]byte) string {
@@ -300,4 +323,59 @@ func hexHash(h [32]byte) string {
 		out[2*i+1] = digits[b&0xf]
 	}
 	return string(out)
+}
+
+// FuzzBackfillResume writes arbitrary bytes to a backfill's checkpoint path.
+// NewBackfill must refuse them or resume shards that tile [From, To] in
+// order, each cursor within its own shard's [from-1, to]; it must never
+// panic. Seeds: a valid 3-shard file, the same without the CRC trailer
+// (the legacy format), a gap, an overlap and a cursor past To.
+func FuzzBackfillResume(f *testing.F) {
+	const from, to = 1000, 1999
+	valid := []shardMark{{From: 1000, To: 1333, Cursor: 1100}, {From: 1334, To: 1666, Cursor: 1333}, {From: 1667, To: 1999, Cursor: 1999}}
+	for _, marks := range [][]shardMark{
+		valid,
+		{{From: 1000, To: 1010, Cursor: 1010}, {From: 1500, To: 1999, Cursor: 1499}},
+		{{From: 1000, To: 1500, Cursor: 999}, {From: 1490, To: 1999, Cursor: 1489}},
+		{{From: 1000, To: 1999, Cursor: 2500}},
+	} {
+		blob, err := encodeCheckpoint(checkpoint{Cursor: marks[0].Cursor, Seen: []string{hexHash([32]byte{1})}, Shards: marks})
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(blob)
+	}
+	legacy, err := json.Marshal(checkpoint{Version: checkpointVersion, Cursor: 1100, Shards: valid})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(append(legacy, '\n'))
+
+	f.Fuzz(func(t *testing.T, blob []byte) {
+		path := filepath.Join(t.TempDir(), "backfill.json")
+		if err := os.WriteFile(path, blob, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		b, err := NewBackfill(&fakeScorer{}, BackfillConfig{
+			RPCURLs:        []string{"http://127.0.0.1:1"},
+			ExplorerURL:    "http://127.0.0.1:1",
+			From:           from,
+			To:             to,
+			Shards:         3,
+			CheckpointPath: path,
+		})
+		if err != nil {
+			return
+		}
+		next := uint64(from)
+		for i, s := range b.shards {
+			if s.from != next || s.to < s.from || s.cursor < s.from-1 || s.cursor > s.to {
+				t.Fatalf("resumed shard %d is [%d, %d] with cursor %d; the range continues at block %d", i, s.from, s.to, s.cursor, next)
+			}
+			next = s.to + 1
+		}
+		if next != to+1 {
+			t.Fatalf("resumed shards end at block %d, want %d", next-1, to)
+		}
+	})
 }

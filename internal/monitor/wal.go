@@ -1,7 +1,6 @@
 package monitor
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
@@ -211,16 +210,14 @@ func (w *WALSink) Replay() (delivered, remaining int, err error) {
 	}
 	var keep [][]byte
 	var sentKeys []string
-	sc := bufio.NewScanner(bytes.NewReader(blob))
-	sc.Buffer(nil, 1<<20)
-	for sc.Scan() {
-		line := bytes.TrimSpace(sc.Bytes())
+	for _, line := range bytes.Split(blob, []byte("\n")) {
+		line = bytes.TrimSpace(line)
 		if len(line) == 0 {
 			continue
 		}
 		var a Alert
 		if json.Unmarshal(line, &a) != nil {
-			keep = append(keep, append([]byte(nil), line...))
+			keep = append(keep, line)
 			continue
 		}
 		key := alertKey(a)
@@ -231,7 +228,7 @@ func (w *WALSink) Replay() (delivered, remaining int, err error) {
 			}
 		}
 		if w.inner.Emit(a) != nil {
-			keep = append(keep, append([]byte(nil), line...))
+			keep = append(keep, line)
 			continue
 		}
 		delivered++

@@ -1,6 +1,8 @@
 package monitor
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
@@ -173,5 +175,45 @@ func TestWALSurvivesRestart(t *testing.T) {
 	}
 	if _, err := os.Stat(path + ".sent"); err != nil {
 		t.Fatalf("sent ledger missing after replay: %v", err)
+	}
+}
+
+// TestWALReplayPreservesLongLine replays a journal whose undecodable middle
+// line is 2 MiB long, past any line-scanner buffer: both alerts around it
+// are delivered, and the long line stays in the journal byte for byte.
+func TestWALReplayPreservesLongLine(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "alerts.wal")
+	long := bytes.Repeat([]byte("x"), 2<<20)
+	first, err := json.Marshal(Alert{TxHash: "0xa"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	last, err := json.Marshal(Alert{TxHash: "0xc"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	journal := bytes.Join([][]byte{first, long, last, nil}, []byte("\n"))
+	if err := os.WriteFile(path, journal, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	inner := &flakySink{}
+	w, err := OpenWALSink(path, inner)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	delivered, remaining, err := w.Replay()
+	if err != nil || delivered != 2 || remaining != 1 {
+		t.Fatalf("Replay = %d delivered, %d remaining, %v; want 2, 1, nil", delivered, remaining, err)
+	}
+	if len(inner.alerts) != 2 || inner.alerts[0].TxHash != "0xa" || inner.alerts[1].TxHash != "0xc" {
+		t.Fatalf("delivered %v, want 0xa then 0xc", inner.alerts)
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, append(long, '\n')) {
+		t.Fatalf("journal after replay holds %d bytes, want the %d-byte undecodable line alone", len(got), len(long)+1)
 	}
 }

@@ -242,3 +242,40 @@ func TestTxWatchFusedPrecisionEndToEnd(t *testing.T) {
 		t.Fatalf("caught %d of %d planted drainers", truePos, drainers)
 	}
 }
+
+// TestTxFeedOutpacesContractWatcher gates the tx modality's item-rate
+// amortization: on one endpoint limited to 800 items/s (burst 64), the
+// pending-tx watcher judges txs at least 5x as fast as the contract watcher
+// judges contracts. The contract watcher pays one quota item per
+// eth_getCode; the feed pays one per poll of up to 512 txs, and callee
+// codes amortize further through the watcher's LRU.
+func TestTxFeedOutpacesContractWatcher(t *testing.T) {
+	sim, codeDet := quotaFixture(t, 400, 1500)
+	pspec, err := CalldataModel()
+	if err != nil {
+		t.Fatal(err)
+	}
+	payloadDet, err := Train(pspec, sim.TxDataset(), WithDetectorSeed(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range sim.TxDataset().Samples { // warm the payload cache too
+		if _, err := payloadDet.Score(context.Background(), s.Bytecode); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fused, err := NewFusedTxScorer(payloadDet, codeDet)
+	if err != nil {
+		t.Fatal(err)
+	}
+	url := sim.AddRPCEndpoints(1, 800, 64)[0]
+	bestOfRounds(t, 5.0, func() float64 {
+		contractsPerSec := float64(sim.NumContracts()) / watchSeconds(t, sim, codeDet, url)
+		tw, err := NewTxWatcher(fused, TxWatcherConfig{RPCURL: url, PollInterval: time.Millisecond,
+			StopAtBlock: sim.TailBlock(), Threshold: 0.7})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return float64(sim.NumTxs()) / timeRun(t, tw.Run) / contractsPerSec
+	})
+}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"crypto/sha256"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -302,6 +303,110 @@ func TestMetricsWithBackfill(t *testing.T) {
 	if !strings.Contains(string(hblob), "\"backfill\"") || !strings.Contains(string(hblob), "\"shards\"") {
 		t.Errorf("healthz missing backfill stats: %s", hblob)
 	}
+}
+
+// quotaFixture is the shared set-up of the quota-bound throughput tests: a
+// seed-1 simulation with uniquePhish unique phishing contracts (twice as
+// many obtained, as many benign; txPerMonth txs a month when positive) and
+// a Random Forest trained on it, its score cache warmed over every bytecode
+// on chain so the runs a test compares pay for RPC or replica quota, not
+// featurization. The tests compare wall-clock runs of several seconds, so
+// they skip under the race detector and in -short.
+func quotaFixture(t *testing.T, uniquePhish, txPerMonth int) (*Simulation, *Detector) {
+	t.Helper()
+	if raceEnabled || testing.Short() {
+		t.Skip("wall-clock throughput gate: meaningless under -race, seconds-long for -short")
+	}
+	cfg := DefaultSimulationConfig(1)
+	cfg.ObtainedPhishing, cfg.UniquePhishing, cfg.Benign = 2*uniquePhish, uniquePhish, uniquePhish
+	if txPerMonth > 0 {
+		cfg.TxPerMonth = txPerMonth
+	}
+	sim, err := StartSimulation(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(sim.Close)
+	spec, err := ModelByName("Random Forest")
+	if err != nil {
+		t.Fatal(err)
+	}
+	det, err := Train(spec, sim.Dataset(), WithDetectorSeed(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw := sim.RawDataset()
+	codes := make([][]byte, raw.Len())
+	for i, s := range raw.Samples {
+		codes[i] = s.Bytecode
+	}
+	if _, err := det.ScoreBatch(context.Background(), codes); err != nil {
+		t.Fatal(err)
+	}
+	return sim, det
+}
+
+// bestOfRounds runs round, which times two runs back to back and returns
+// their throughput ratio, up to three times and passes at the first ratio
+// that reaches gate. That is the verdict of gating the best of three
+// interleaved rounds: load on a shared runner that spoils one round does
+// not fail the gate, and stopping early cannot change the outcome.
+func bestOfRounds(t *testing.T, gate float64, round func() float64) {
+	t.Helper()
+	best := 0.0
+	for i := 0; i < 3; i++ {
+		ratio := round()
+		t.Logf("round %d: %.2fx (gate >= %.1fx)", i, ratio, gate)
+		if ratio >= gate {
+			return
+		}
+		best = math.Max(best, ratio)
+	}
+	t.Fatalf("best of 3 rounds %.2fx, below the %.1fx gate", best, gate)
+}
+
+// timeRun returns how many seconds run takes, failing the test on error.
+func timeRun(t *testing.T, run func(context.Context) error) float64 {
+	t.Helper()
+	t0 := time.Now()
+	if err := run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	return time.Since(t0).Seconds()
+}
+
+// watchSeconds times a single-client watcher judging the simulation's whole
+// history over one RPC endpoint: the baseline both ingestion gates beat.
+func watchSeconds(t *testing.T, sim *Simulation, det *Detector, url string) float64 {
+	t.Helper()
+	from, _ := sim.StudyWindow()
+	w, err := NewWatcher(det, WatcherConfig{RPCURL: url, ExplorerURL: sim.ExplorerURL(),
+		PollInterval: time.Millisecond, StartBlock: from - 1, StopAtBlock: sim.TailBlock()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return timeRun(t, w.Run)
+}
+
+// TestBackfillOutpacesSingleClientWatcher gates the fetch plane's fan-out:
+// over three endpoints each limited to 1,500 eth_getCode items/s (burst
+// 192), a 4-shard backfill covers the chain at least 2x as fast as a
+// single-client watcher on one of them. The limits make both runs
+// quota-bound, so the ratio holds on slow runners where absolute
+// contracts/s would not.
+func TestBackfillOutpacesSingleClientWatcher(t *testing.T) {
+	sim, det := quotaFixture(t, 1200, 0)
+	urls := sim.AddRPCEndpoints(3, 1500, 192)
+	from, _ := sim.StudyWindow()
+	bestOfRounds(t, 2.0, func() float64 {
+		single := watchSeconds(t, sim, det, urls[0])
+		b, err := NewBackfill(det, BackfillConfig{RPCURLs: urls, ExplorerURL: sim.ExplorerURL(),
+			From: from, To: sim.TailBlock(), Shards: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return single / timeRun(t, b.Run)
+	})
 }
 
 // BenchmarkWatcherThroughput measures the Watchtower's sustained pipeline
