@@ -2,10 +2,10 @@ package phishinghook
 
 import (
 	"context"
-	"fmt"
 	"time"
 
 	"github.com/phishinghook/phishinghook/internal/cluster"
+	"github.com/phishinghook/phishinghook/internal/httpapi"
 )
 
 // Scoring-cluster re-exports: the consistent-hash router and its clients
@@ -37,12 +37,6 @@ func WithScoreRetries(attempts int, backoff time.Duration) ClusterScoreOption {
 	return cluster.WithScoreRetries(attempts, backoff)
 }
 
-// WithScoreFallbacks adds alternate base URLs a score client rotates onto
-// after a transient fault (its primary dying mid-response).
-func WithScoreFallbacks(bases ...string) ClusterScoreOption {
-	return cluster.WithScoreFallbacks(bases...)
-}
-
 // NewClusterRouter builds a consistent-hash scoring router over replica
 // base URLs.
 func NewClusterRouter(cfg ClusterConfig) (*ClusterRouter, error) { return cluster.NewRouter(cfg) }
@@ -53,8 +47,9 @@ func NewClusterScoreClient(base string, opts ...cluster.ScoreClientOption) *Clus
 	return cluster.NewScoreClient(base, opts...)
 }
 
-// ClusterTxScoreItem is one transaction on the cluster /score/tx wire.
-type ClusterTxScoreItem = cluster.TxScoreItem
+// ClusterTxScoreItem is one transaction on the cluster /score/tx wire (the
+// same type as TxScoreItem).
+type ClusterTxScoreItem = httpapi.TxScoreItem
 
 // RemoteScorer adapts a cluster scoring endpoint (router or single replica)
 // onto both scorer surfaces — CodeScorer via /score and the transaction
@@ -77,19 +72,19 @@ func (r *RemoteScorer) Score(ctx context.Context, code []byte) (Verdict, error) 
 	if err != nil {
 		return Verdict{}, err
 	}
-	if len(vs) != 1 {
-		return Verdict{}, fmt.Errorf("phishinghook: cluster returned %d verdicts for one bytecode", len(vs))
-	}
 	v := vs[0]
 	label := Benign
 	if v.Phishing {
 		label = Phishing
 	}
 	return Verdict{
-		Label:        label,
-		Confidence:   v.Confidence,
-		ModelName:    v.Model,
-		ModelVersion: v.ModelVersion,
+		Label:           label,
+		Confidence:      v.Confidence,
+		ModelName:       v.Model,
+		ModelVersion:    v.ModelVersion,
+		DeadCodeRatio:   v.DeadCodeRatio,
+		ScoreDivergence: v.ScoreDivergence,
+		EvasionSuspect:  v.EvasionSuspect,
 	}, nil
 }
 
@@ -103,16 +98,16 @@ func (r *RemoteScorer) ScoreTx(ctx context.Context, calldata, code []byte) (TxVe
 	if err != nil {
 		return TxVerdict{}, err
 	}
-	if len(vs) != 1 {
-		return TxVerdict{}, fmt.Errorf("phishinghook: cluster returned %d verdicts for one tx", len(vs))
-	}
 	v := vs[0]
 	return TxVerdict{
-		Phishing:    v.Phishing,
-		Confidence:  v.Confidence,
-		PayloadProb: v.PayloadProb,
-		CodeProb:    v.CodeProb,
-		Model:       v.Model,
-		Version:     v.ModelVersion,
+		Phishing:        v.Phishing,
+		Confidence:      v.Confidence,
+		PayloadProb:     v.PayloadProb,
+		CodeProb:        v.CodeProb,
+		Model:           v.Model,
+		Version:         v.ModelVersion,
+		DeadCodeRatio:   v.DeadCodeRatio,
+		ScoreDivergence: v.ScoreDivergence,
+		EvasionSuspect:  v.EvasionSuspect,
 	}, nil
 }

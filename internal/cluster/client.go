@@ -12,27 +12,82 @@ import (
 	"time"
 
 	"github.com/phishinghook/phishinghook/internal/ethrpc"
+	"github.com/phishinghook/phishinghook/internal/httpapi"
 )
 
-// ScoreClient scores bytecode through a router (or directly against one
-// replica — the wire format is identical). It is the client the watcher
-// mounts when monitoring through the cluster: transient faults and 429s are
-// retried with the same typed classification and Retry-After honoring as
-// every other retry loop in the system. A mid-response disconnect (the
-// server died after the headers: EOF, connection reset) is a typed transient
-// ReplicaFault, never a raw transport error — and when fallback bases are
-// configured, each transient failure rotates the next attempt onto the next
-// base instead of hammering the one that just dropped the connection.
-type ScoreClient struct {
-	bases    []string // rotation order; bases[0] is the configured primary
-	httpc    *http.Client
-	attempts int
-	backoff  time.Duration
+// exchanger runs the one /score and /score/tx exchange that the router
+// (against a replica) and ScoreClient (against a router or replica) share.
+type exchanger struct {
+	httpc   *http.Client
+	timeout time.Duration // caps one exchange, body included
+}
+
+func newExchanger(timeout time.Duration) exchanger {
+	return exchanger{httpc: &http.Client{Transport: ethrpc.NewPooledTransport()}, timeout: timeout}
+}
+
+// exchange POSTs req as JSON to base+path and returns the n verdicts of
+// the reply. The error classes are what the retry loops steer by:
+//
+//   - 429: a transient *ethrpc.RateLimitError carrying Retry-After;
+//   - the exchange's own timeout: transient, matching
+//     context.DeadlineExceeded (the watchdog and AIMD count it);
+//   - the caller's cancellation: the bare context error;
+//   - transport faults, 5xx, torn or disconnected bodies and a
+//     verdict-count mismatch: a transient *ReplicaFault;
+//   - any other status: authoritative, with the body's message.
+func (x exchanger) exchange(ctx context.Context, base, path string, req any, n int) ([]httpapi.Verdict, error) {
+	body, err := json.Marshal(req)
+	if err != nil {
+		return nil, err
+	}
+	caller := ctx
+	ctx, cancel := context.WithTimeout(ctx, x.timeout)
+	defer cancel()
+	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, base+path, bytes.NewReader(body))
+	if err != nil {
+		return nil, err
+	}
+	hreq.Header.Set("Content-Type", "application/json")
+	fail := func(kind string, err error) error {
+		switch {
+		case caller.Err() != nil:
+			return caller.Err()
+		case ctx.Err() != nil:
+			return ethrpc.MarkTransient(context.DeadlineExceeded)
+		}
+		return replicaFault(base, kind, err)
+	}
+	resp, err := x.httpc.Do(hreq)
+	if err != nil {
+		return nil, fail("transport", err)
+	}
+	defer ethrpc.CloseBody(resp)
+	switch {
+	case resp.StatusCode == http.StatusTooManyRequests:
+		ra := ethrpc.ParseRetryAfter(resp.Header.Get("Retry-After"))
+		return nil, ethrpc.MarkTransient(&ethrpc.RateLimitError{RetryAfter: ra})
+	case resp.StatusCode >= 500:
+		return nil, replicaFault(base, "transport", fmt.Errorf("status %d", resp.StatusCode))
+	case resp.StatusCode != http.StatusOK:
+		var e httpapi.ErrorBody
+		_ = json.NewDecoder(resp.Body).Decode(&e)
+		return nil, fmt.Errorf("status %d: %s", resp.StatusCode, e.Error)
+	}
+	var sr httpapi.ScoreResponse
+	if err := json.NewDecoder(resp.Body).Decode(&sr); err != nil {
+		return nil, fail(disconnectKind(err), err)
+	}
+	if len(sr.Verdicts) != n {
+		return nil, replicaFault(base, "mismatch", fmt.Errorf("%d verdicts for %d items", len(sr.Verdicts), n))
+	}
+	return sr.Verdicts, nil
 }
 
 // ReplicaFault is a typed transient failure of one exchange against a
-// scoring base: the transport died, the response arrived torn, or the body
-// ended mid-stream. The retry loop rotates to the next base on it.
+// scoring base: the transport died, the replica answered 5xx, the response
+// arrived torn, the body ended mid-stream, or it carried the wrong number
+// of verdicts. Retry loops try again on it.
 type ReplicaFault struct {
 	Base string // the base URL the exchange ran against
 	Kind string // "transport", "disconnect", "torn", "mismatch"
@@ -63,6 +118,18 @@ func disconnectKind(err error) string {
 	return "torn"
 }
 
+// ScoreClient scores bytecode through a router (or directly against one
+// replica — the wire format is identical). It is the client the watcher
+// mounts when monitoring through the cluster: transient faults and 429s are
+// retried with the same typed classification and Retry-After honoring as
+// every other retry loop in the system.
+type ScoreClient struct {
+	exchanger
+	base     string
+	attempts int
+	backoff  time.Duration
+}
+
 // ScoreClientOption configures a ScoreClient.
 type ScoreClientOption func(*ScoreClient)
 
@@ -79,31 +146,13 @@ func WithScoreRetries(attempts int, backoff time.Duration) ScoreClientOption {
 	}
 }
 
-// WithScoreFallbacks appends alternate router/replica base URLs. After a
-// transient fault the retry loop rotates onto the next base, so a watcher
-// survives its primary router dying mid-response without surfacing an error.
-func WithScoreFallbacks(bases ...string) ScoreClientOption {
-	return func(c *ScoreClient) {
-		for _, b := range bases {
-			if b != "" {
-				c.bases = append(c.bases, b)
-			}
-		}
-	}
-}
-
-// WithScoreHTTPClient substitutes the transport (tests).
-func WithScoreHTTPClient(h *http.Client) ScoreClientOption {
-	return func(c *ScoreClient) { c.httpc = h }
-}
-
 // NewScoreClient builds a client for the given router/replica base URL.
 func NewScoreClient(base string, opts ...ScoreClientOption) *ScoreClient {
 	c := &ScoreClient{
-		bases:    []string{base},
-		httpc:    &http.Client{Timeout: 30 * time.Second, Transport: ethrpc.NewPooledTransport()},
-		attempts: 4,
-		backoff:  50 * time.Millisecond,
+		exchanger: newExchanger(30 * time.Second),
+		base:      base,
+		attempts:  4,
+		backoff:   50 * time.Millisecond,
 	}
 	for _, opt := range opts {
 		opt(c)
@@ -114,24 +163,22 @@ func NewScoreClient(base string, opts ...ScoreClientOption) *ScoreClient {
 // ScoreHexBatch scores already-hex-encoded bytecodes, retrying transient
 // faults (replica restarts mid-roll, router admission 429s) before giving
 // up. All-or-nothing: on success the verdicts align with hexes.
-func (c *ScoreClient) ScoreHexBatch(ctx context.Context, hexes []string) ([]Verdict, error) {
-	return c.retry(ctx, func(base string) ([]Verdict, error) { return c.post(ctx, base, hexes) })
+func (c *ScoreClient) ScoreHexBatch(ctx context.Context, hexes []string) ([]httpapi.Verdict, error) {
+	return c.retry(ctx, "/score", httpapi.ScoreRequest{Bytecodes: hexes}, len(hexes))
 }
 
 // ScoreTxBatch scores transactions (hex calldata + hex callee bytecode;
 // either side may be empty) through /score/tx with the same retry loop.
 // All-or-nothing: on success the fused verdicts align with items.
-func (c *ScoreClient) ScoreTxBatch(ctx context.Context, items []TxScoreItem) ([]Verdict, error) {
-	return c.retry(ctx, func(base string) ([]Verdict, error) { return c.postTx(ctx, base, items) })
+func (c *ScoreClient) ScoreTxBatch(ctx context.Context, items []httpapi.TxScoreItem) ([]httpapi.Verdict, error) {
+	return c.retry(ctx, "/score/tx", httpapi.TxScoreRequest{Txs: items}, len(items))
 }
 
-// retry drives one exchange function through the attempts/backoff schedule,
-// honoring a 429's Retry-After, stopping on authoritative errors, and
-// rotating to the next configured base after each transient fault.
-func (c *ScoreClient) retry(ctx context.Context, do func(base string) ([]Verdict, error)) ([]Verdict, error) {
+// retry drives one exchange through the attempts/backoff schedule, honoring
+// a 429's Retry-After and stopping on authoritative errors.
+func (c *ScoreClient) retry(ctx context.Context, path string, req any, n int) ([]httpapi.Verdict, error) {
 	var lastErr error
 	backoff := c.backoff
-	base := 0
 	for attempt := 0; attempt < c.attempts; attempt++ {
 		if attempt > 0 {
 			select {
@@ -141,7 +188,7 @@ func (c *ScoreClient) retry(ctx context.Context, do func(base string) ([]Verdict
 			}
 			backoff *= 2
 		}
-		verdicts, err := do(c.bases[base])
+		verdicts, err := c.exchange(ctx, c.base, path, req, n)
 		if err == nil {
 			return verdicts, nil
 		}
@@ -149,82 +196,8 @@ func (c *ScoreClient) retry(ctx context.Context, do func(base string) ([]Verdict
 		if !ethrpc.IsTransient(err) {
 			return nil, err
 		}
-		base = (base + 1) % len(c.bases)
 	}
 	return nil, fmt.Errorf("cluster: score failed after %d attempts: %w", c.attempts, lastErr)
-}
-
-// post runs one exchange, classified like the router's replica exchanges:
-// 429 → RateLimitError (transient, Retry-After attached), transport/5xx/
-// disconnect/torn → typed transient ReplicaFault, anything else
-// authoritative.
-func (c *ScoreClient) post(ctx context.Context, base string, hexes []string) ([]Verdict, error) {
-	body, err := json.Marshal(scoreRequest{Bytecodes: hexes})
-	if err != nil {
-		return nil, err
-	}
-	sr, err := c.exchange(ctx, base, "/score", body)
-	if err != nil {
-		return nil, err
-	}
-	if len(sr.Verdicts) != len(hexes) {
-		return nil, replicaFault(base, "mismatch", fmt.Errorf("%d verdicts for %d bytecodes", len(sr.Verdicts), len(hexes)))
-	}
-	return sr.Verdicts, nil
-}
-
-// postTx runs one /score/tx exchange with the same outcome classification
-// as post.
-func (c *ScoreClient) postTx(ctx context.Context, base string, items []TxScoreItem) ([]Verdict, error) {
-	body, err := json.Marshal(txScoreRequest{Txs: items})
-	if err != nil {
-		return nil, err
-	}
-	sr, err := c.exchange(ctx, base, "/score/tx", body)
-	if err != nil {
-		return nil, err
-	}
-	if len(sr.Verdicts) != len(items) {
-		return nil, replicaFault(base, "mismatch", fmt.Errorf("%d verdicts for %d txs", len(sr.Verdicts), len(items)))
-	}
-	return sr.Verdicts, nil
-}
-
-// exchange POSTs one JSON body against base+path and decodes the verdict
-// envelope, applying the shared outcome classification.
-func (c *ScoreClient) exchange(ctx context.Context, base, path string, body []byte) (*scoreResponse, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, base+path, bytes.NewReader(body))
-	if err != nil {
-		return nil, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := c.httpc.Do(req)
-	if err != nil {
-		if ctx.Err() != nil {
-			return nil, ctx.Err()
-		}
-		return nil, replicaFault(base, "transport", err)
-	}
-	defer ethrpc.CloseBody(resp)
-	switch {
-	case resp.StatusCode == http.StatusTooManyRequests:
-		ra := ethrpc.ParseRetryAfter(resp.Header.Get("Retry-After"))
-		return nil, ethrpc.MarkTransient(&ethrpc.RateLimitError{RetryAfter: ra})
-	case resp.StatusCode >= 500:
-		return nil, replicaFault(base, "transport", fmt.Errorf("status %d", resp.StatusCode))
-	case resp.StatusCode != http.StatusOK:
-		var e errorResponse
-		_ = json.NewDecoder(resp.Body).Decode(&e)
-		return nil, fmt.Errorf("status %d: %s", resp.StatusCode, e.Error)
-	}
-	var sr scoreResponse
-	if err := json.NewDecoder(resp.Body).Decode(&sr); err != nil {
-		if ctx.Err() != nil {
-			return nil, ctx.Err()
-		}
-		return nil, replicaFault(base, disconnectKind(err), err)
-	}
-	return &sr, nil
 }
 
 // ReplicaState is one replica's answer to the cluster survey.
@@ -350,16 +323,20 @@ func (rt *Router) adminStep(ctx context.Context, base, action string) (RollingSt
 	return step, nil
 }
 
-// awaitReady polls a replica's /readyz until it answers 200 or ReadyTimeout
-// elapses.
+// readyTimeout bounds how long a rolling step waits for one replica to
+// report ready again after a reload/promote.
+const readyTimeout = 15 * time.Second
+
+// awaitReady polls a replica's /readyz until it answers 200 or
+// readyTimeout elapses.
 func (rt *Router) awaitReady(ctx context.Context, base string) error {
-	deadline := time.Now().Add(rt.cfg.ReadyTimeout)
+	deadline := time.Now().Add(readyTimeout)
 	for {
 		if rt.ready(ctx, base) {
 			return nil
 		}
 		if time.Now().After(deadline) {
-			return fmt.Errorf("cluster: %s not ready after %s", base, rt.cfg.ReadyTimeout)
+			return fmt.Errorf("cluster: %s not ready after %s", base, readyTimeout)
 		}
 		select {
 		case <-ctx.Done():

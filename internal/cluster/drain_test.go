@@ -9,6 +9,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"github.com/phishinghook/phishinghook/internal/httpapi"
 )
 
 // flakyReplica answers its first four scoring requests with status and a
@@ -48,7 +50,7 @@ func TestScoreClientKeepsConnectionAcrossErrorStatuses(t *testing.T) {
 			if path == "/score" {
 				_, err = c.ScoreHexBatch(context.Background(), []string{"0x6080"})
 			} else {
-				_, err = c.ScoreTxBatch(context.Background(), []TxScoreItem{{Calldata: "0x01", Code: "0x6080"}})
+				_, err = c.ScoreTxBatch(context.Background(), []httpapi.TxScoreItem{{Calldata: "0x01", Code: "0x6080"}})
 			}
 			if err != nil {
 				t.Fatalf("status %d %s: %v", status, path, err)
@@ -73,7 +75,7 @@ func TestRouterKeepsConnectionAcrossErrorStatuses(t *testing.T) {
 			if path == "/score" {
 				_, err = rt.RouteBatch(context.Background(), testCodes(1))
 			} else {
-				_, err = rt.RouteTxBatch(context.Background(), []TxScoreItem{{Calldata: "0x01", Code: "0x6080"}})
+				_, err = rt.RouteTxBatch(context.Background(), []httpapi.TxScoreItem{{Calldata: "0x01", Code: "0x6080"}})
 			}
 			if err != nil {
 				t.Fatalf("status %d %s: %v", status, path, err)

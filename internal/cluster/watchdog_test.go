@@ -11,16 +11,19 @@ import (
 	"time"
 
 	"github.com/phishinghook/phishinghook/internal/evm"
+	"github.com/phishinghook/phishinghook/internal/httpapi"
 )
 
 // stubReplica speaks the replica wire protocol with canned verdicts: /score
-// answers one phishing verdict per bytecode, /score/tx fuses or faults
-// according to txDown, and hang inserts a context-aware stall so a test can
-// simulate a replica that accepts connections but never answers in time.
+// answers one phishing verdict per bytecode (with evasion telemetry when
+// telemetry is set before serving), /score/tx fuses or faults according to
+// txDown, and hang inserts a context-aware stall so a test can simulate a
+// replica that accepts connections but never answers in time.
 type stubReplica struct {
-	hang   atomic.Bool
-	txDown atomic.Bool
-	calls  atomic.Int64
+	hang      atomic.Bool
+	txDown    atomic.Bool
+	calls     atomic.Int64
+	telemetry bool
 }
 
 func (s *stubReplica) handler() http.Handler {
@@ -30,16 +33,19 @@ func (s *stubReplica) handler() http.Handler {
 		if s.stall(r) {
 			return
 		}
-		var req scoreRequest
+		var req httpapi.ScoreRequest
 		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			writeError(w, http.StatusBadRequest, "bad request: %v", err)
+			httpapi.Error(w, http.StatusBadRequest, "bad request: %v", err)
 			return
 		}
-		vs := make([]Verdict, len(req.Bytecodes))
+		vs := make([]httpapi.Verdict, len(req.Bytecodes))
 		for i := range vs {
-			vs[i] = Verdict{Label: "phishing", Phishing: true, Confidence: 0.9, Model: "stub", ModelVersion: "v1"}
+			vs[i] = httpapi.Verdict{Label: "phishing", Phishing: true, Confidence: 0.9, Model: "stub", ModelVersion: "v1"}
+			if s.telemetry {
+				vs[i].DeadCodeRatio, vs[i].ScoreDivergence, vs[i].EvasionSuspect = 0.25, 0.125, true
+			}
 		}
-		writeJSON(w, http.StatusOK, scoreResponse{Verdicts: vs})
+		httpapi.WriteJSON(w, http.StatusOK, httpapi.ScoreResponse{Verdicts: vs})
 	})
 	mux.HandleFunc("/score/tx", func(w http.ResponseWriter, r *http.Request) {
 		s.calls.Add(1)
@@ -47,20 +53,20 @@ func (s *stubReplica) handler() http.Handler {
 			return
 		}
 		if s.txDown.Load() {
-			writeError(w, http.StatusInternalServerError, "calldata model faulted")
+			httpapi.Error(w, http.StatusInternalServerError, "calldata model faulted")
 			return
 		}
-		var req txScoreRequest
+		var req httpapi.TxScoreRequest
 		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			writeError(w, http.StatusBadRequest, "bad request: %v", err)
+			httpapi.Error(w, http.StatusBadRequest, "bad request: %v", err)
 			return
 		}
-		vs := make([]Verdict, len(req.Txs))
+		vs := make([]httpapi.Verdict, len(req.Txs))
 		for i := range vs {
-			vs[i] = Verdict{Label: "phishing", Phishing: true, Confidence: 0.9, Model: "stub",
+			vs[i] = httpapi.Verdict{Label: "phishing", Phishing: true, Confidence: 0.9, Model: "stub",
 				Modality: "tx", PayloadProb: 0.8, CodeProb: 0.9}
 		}
-		writeJSON(w, http.StatusOK, scoreResponse{Verdicts: vs})
+		httpapi.WriteJSON(w, http.StatusOK, httpapi.ScoreResponse{Verdicts: vs})
 	})
 	return mux
 }
@@ -165,7 +171,7 @@ func TestTxFallbackCodeOnly(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	items := []TxScoreItem{
+	items := []httpapi.TxScoreItem{
 		{Calldata: "0x01", Code: evm.EncodeHex([]byte("\x60\x80code-a"))},
 		{Calldata: "0x02", Code: evm.EncodeHex([]byte("\x60\x80code-b"))},
 		{Calldata: "0x03"}, // EOA callee: no code evidence to fall back on
@@ -206,5 +212,33 @@ func TestTxFallbackCodeOnly(t *testing.T) {
 	}
 	if d := rt.Stats().Degraded; d != uint64(len(items)) {
 		t.Errorf("Degraded advanced after recovery: %d", d)
+	}
+}
+
+// TestTxFallbackKeepsTelemetry checks that a code-only degraded tx verdict
+// carries the code verdict's evasion telemetry: a fused-path fault must not
+// also hide that the callee looks evasive.
+func TestTxFallbackKeepsTelemetry(t *testing.T) {
+	s := &stubReplica{telemetry: true}
+	s.txDown.Store(true)
+	srv := httptest.NewServer(s.handler())
+	defer srv.Close()
+	rt, err := NewRouter(Config{Replicas: []string{srv.URL}, Vnodes: 4, Attempts: 2, Backoff: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	vs, err := rt.RouteTxBatch(context.Background(), []httpapi.TxScoreItem{
+		{Calldata: "0x01", Code: evm.EncodeHex([]byte("\x60\x80code-a"))},
+	})
+	if err != nil {
+		t.Fatalf("RouteTxBatch should degrade, not fail: %v", err)
+	}
+	want := httpapi.Verdict{Label: "phishing", Phishing: true, Confidence: 0.9, Model: "stub", ModelVersion: "v1",
+		Modality: "tx", CodeProb: 0.9, DeadCodeRatio: 0.25, ScoreDivergence: 0.125, EvasionSuspect: true}
+	if len(vs) != 1 || vs[0] != want {
+		t.Fatalf("degraded verdicts %+v, want [%+v]", vs, want)
+	}
+	if d := rt.Stats().Degraded; d != 1 {
+		t.Fatalf("Degraded = %d, want 1", d)
 	}
 }

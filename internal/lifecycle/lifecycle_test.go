@@ -285,6 +285,68 @@ func TestRetrainerDriftTrigger(t *testing.T) {
 	}
 }
 
+// TestRetrainerCoalescesDueChecks pins that a drift check falling due while
+// another check is running is not lost. A large reference keeps the first
+// check (over a stable window) busy while a shifted burst passes four due
+// points; traffic then stops. Those due points must leave one trailing
+// check that sees the shifted window and fires the trigger — otherwise the
+// drift waits for CheckEvery more scores that never come.
+func TestRetrainerCoalescesDueChecks(t *testing.T) {
+	retrained := make(chan DriftReport, 4)
+	r, err := NewRetrainer(RetrainerConfig{
+		Train: func(ctx context.Context, rep DriftReport) error {
+			retrained <- rep
+			return nil
+		},
+		Window:     256,
+		MinObserve: 128,
+		CheckEvery: 128,
+		Cooldown:   time.Hour,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Sized so one check takes milliseconds (tens under -race): three
+	// orders of magnitude longer than the burst below.
+	rng := rand.New(rand.NewSource(1))
+	ref := make([]float64, 1<<18)
+	for i := range ref {
+		ref[i] = 0.15 + 0.1*rng.Float64()
+	}
+	r.SetReference(ref)
+	ctx := context.Background()
+
+	for i := 0; i < 128; i++ {
+		r.Observe(ctx, 0.15+0.1*rng.Float64())
+	}
+	// Feed the burst only once the first check holds its (stable) window.
+	deadline := time.Now().Add(5 * time.Second)
+	for r.Stats().Checks == 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("first drift check never started: %+v", r.Stats())
+		}
+		time.Sleep(50 * time.Microsecond)
+	}
+	for i := 0; i < 512; i++ {
+		r.Observe(ctx, 0.7+0.2*rng.Float64())
+	}
+	if s := r.Stats(); s.Checks != 1 || !r.checking.Load() {
+		t.Fatalf("the first check ended before the burst did (%+v); the reference is too small to exercise a check in flight", s)
+	}
+
+	select {
+	case rep := <-retrained:
+		if !rep.Drifted || rep.Window != 256 {
+			t.Fatalf("trigger report %+v, want a drifted full window", rep)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatalf("a due check was dropped: the shifted window was never checked: %+v", r.Stats())
+	}
+	if s := r.Stats(); s.Checks != 2 {
+		t.Fatalf("four due points during one check ran %d checks in all, want 2 (one trailing)", s.Checks)
+	}
+}
+
 func TestRetrainerSingleFlightAndErrors(t *testing.T) {
 	block := make(chan struct{})
 	started := make(chan struct{}, 8)

@@ -124,6 +124,7 @@ type Retrainer struct {
 
 	retraining  atomic.Bool
 	checking    atomic.Bool
+	recheck     atomic.Bool // a check fell due; checkLoop runs one more before exiting
 	observed    atomic.Uint64
 	checks      atomic.Uint64
 	triggers    atomic.Uint64
@@ -157,6 +158,8 @@ func (r *Retrainer) SetReference(scores []float64) {
 // writes one ring slot under the mutex — the PSI/KS evaluation (sample
 // copies plus two sorts) runs on a background goroutine, never on the
 // caller's scoring path, honoring the Swappable score-hook contract.
+// Checks are single-flight: due points that fall while one runs coalesce
+// into one trailing check on the newest window.
 func (r *Retrainer) Observe(ctx context.Context, p float64) {
 	r.observed.Add(1)
 	r.mu.Lock()
@@ -171,17 +174,30 @@ func (r *Retrainer) Observe(ctx context.Context, p float64) {
 		r.sinceCheck = 0
 	}
 	r.mu.Unlock()
-	if !due || !r.checking.CompareAndSwap(false, true) {
+	if !due {
 		return
 	}
-	go func() {
-		defer r.checking.Store(false)
-		rep, err := r.Check()
-		if err != nil || !rep.Drifted {
+	r.recheck.Store(true)
+	if r.checking.CompareAndSwap(false, true) {
+		go r.checkLoop(ctx)
+	}
+}
+
+// checkLoop runs drift checks while due points keep arriving; the caller
+// holds the checking flag. A due point that lands after the loop clears
+// recheck but before it drops the flag is caught by the final load: either
+// the loop takes the flag back, or that due point's own CompareAndSwap did.
+func (r *Retrainer) checkLoop(ctx context.Context) {
+	for {
+		r.recheck.Store(false)
+		if rep, err := r.Check(); err == nil && rep.Drifted {
+			r.TriggerAsync(ctx, rep)
+		}
+		r.checking.Store(false)
+		if !r.recheck.Load() || !r.checking.CompareAndSwap(false, true) {
 			return
 		}
-		r.TriggerAsync(ctx, rep)
-	}()
+	}
 }
 
 // Check evaluates drift on the current window without side effects beyond

@@ -4,63 +4,34 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
-	"io"
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"strings"
+	"strconv"
 	"sync/atomic"
 	"time"
 
+	"github.com/phishinghook/phishinghook/internal/httpapi"
 	"github.com/phishinghook/phishinghook/internal/monitor"
 )
 
-// ScoreRequest is the POST /score payload: one bytecode, a batch, or both.
-// When both fields are set, the request is treated as a batch of
-// [bytecode, bytecodes...]: every entry is scored, `verdicts` aligns with
-// that concatenation, and `verdict` carries the `bytecode` entry's verdict.
-type ScoreRequest struct {
-	// Bytecode is one 0x-prefixed hex bytecode.
-	Bytecode string `json:"bytecode,omitempty"`
-	// Bytecodes is a batch of 0x-prefixed hex bytecodes.
-	Bytecodes []string `json:"bytecodes,omitempty"`
-}
-
-// ScoreVerdict is the wire form of a Verdict.
-type ScoreVerdict struct {
-	Label      string  `json:"label"`
-	Phishing   bool    `json:"phishing"`
-	Confidence float64 `json:"confidence"`
-	Model      string  `json:"model"`
-	// ModelVersion is the lifecycle version that scored (omitted when
-	// serving a bare, unversioned Detector).
-	ModelVersion string `json:"model_version,omitempty"`
-	// Modality distinguishes the scored artifact: omitted (implicitly
-	// "contract") for bytecode verdicts — keeping existing contract verdict
-	// JSON byte-for-byte identical — or "tx" for fused transaction verdicts.
-	Modality string `json:"modality,omitempty"`
-	// PayloadProb and CodeProb are the fused tx verdict's components
-	// (tx modality only; a zero contribution — empty calldata, EOA callee —
-	// is omitted).
-	PayloadProb float64 `json:"payload_prob,omitempty"`
-	CodeProb    float64 `json:"code_prob,omitempty"`
-	// Evasion telemetry (WithEvasionTelemetry only). All omitempty: a
-	// detector without telemetry emits verdict JSON byte-for-byte identical
-	// to before the fields existed.
-	DeadCodeRatio   float64 `json:"dead_code_ratio,omitempty"`
-	ScoreDivergence float64 `json:"score_divergence,omitempty"`
-	EvasionSuspect  bool    `json:"evasion_suspect,omitempty"`
-}
-
-// ScoreResponse is the POST /score reply. Verdicts aligns with the request
-// order ([bytecode, bytecodes...]); Verdict is set whenever the request's
-// `bytecode` field was present and points at that entry's verdict.
-type ScoreResponse struct {
-	Verdict   *ScoreVerdict  `json:"verdict,omitempty"`
-	Verdicts  []ScoreVerdict `json:"verdicts"`
-	ElapsedMS float64        `json:"elapsed_ms"`
-}
+// The /score and /score/tx wire contract lives in internal/httpapi, shared
+// with the cluster router; these aliases keep the root names.
+type (
+	// ScoreRequest is the POST /score payload: one bytecode, a batch, or
+	// both (the single bytecode joins the batch at position 0).
+	ScoreRequest = httpapi.ScoreRequest
+	// ScoreVerdict is the wire form of a Verdict or TxVerdict.
+	ScoreVerdict = httpapi.Verdict
+	// ScoreResponse is the reply to /score and /score/tx.
+	ScoreResponse = httpapi.ScoreResponse
+	// TxScoreItem is one transaction to judge: hex calldata plus the
+	// callee's hex bytecode, either of which may be empty.
+	TxScoreItem = httpapi.TxScoreItem
+	// TxScoreRequest is the POST /score/tx payload: one transaction, a
+	// batch, or both.
+	TxScoreRequest = httpapi.TxScoreRequest
+)
 
 func toWire(v Verdict) ScoreVerdict {
 	return ScoreVerdict{
@@ -73,23 +44,6 @@ func toWire(v Verdict) ScoreVerdict {
 		ScoreDivergence: v.ScoreDivergence,
 		EvasionSuspect:  v.EvasionSuspect,
 	}
-}
-
-// TxScoreItem is one transaction to judge: its calldata plus (optionally)
-// its callee's deployed bytecode. Either side may be empty — a plain value
-// transfer has no calldata, an EOA callee has no code — but not both.
-type TxScoreItem struct {
-	// Calldata is the 0x-prefixed hex transaction input.
-	Calldata string `json:"calldata,omitempty"`
-	// Code is the callee's 0x-prefixed hex deployed bytecode.
-	Code string `json:"code,omitempty"`
-}
-
-// TxScoreRequest is the POST /score/tx payload: one transaction, a batch, or
-// both (the single tx joins the batch at position 0, mirroring /score).
-type TxScoreRequest struct {
-	Tx  *TxScoreItem  `json:"tx,omitempty"`
-	Txs []TxScoreItem `json:"txs,omitempty"`
 }
 
 func txToWire(v TxVerdict) ScoreVerdict {
@@ -111,32 +65,6 @@ func txToWire(v TxVerdict) ScoreVerdict {
 		EvasionSuspect:  v.EvasionSuspect,
 	}
 }
-
-// maxScoreBatch bounds one request's batch size and maxScoreBodyBytes one
-// request's wire size (backpressure; larger workloads should stream
-// multiple requests). Deployed EVM bytecode tops out at 24KB (48KB hex),
-// so the body limit comfortably fits a full batch.
-const (
-	maxScoreBatch     = 1024
-	maxScoreBodyBytes = 64 << 20
-)
-
-// Per-item input hardening. A deployed EVM contract is capped at 24576
-// bytes by EIP-170, so anything larger is not bytecode that can exist on
-// chain — reject it at the boundary instead of burning featurizer time on
-// it. Calldata has no protocol cap, but block gas limits keep honest
-// payloads far below 128KB; the cap bounds worst-case work per item. Both
-// rejections are typed ("kind" in the error body) so clients can tell a
-// policy rejection from a malformed request.
-const (
-	maxScoreItemBytes  = 24576
-	maxTxCalldataBytes = 128 << 10
-)
-
-const (
-	errKindBytecodeTooLarge = "bytecode_too_large"
-	errKindCalldataTooLarge = "calldata_too_large"
-)
 
 // ScoreBackend is the surface NewScoreHandler serves: both *Detector (one
 // immutable model for the life of the process) and *Swappable (the lifecycle
@@ -269,71 +197,24 @@ func NewScoreHandler(d ScoreBackend, opts ...ServeOption) http.Handler {
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/score", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			httpError(w, http.StatusMethodNotAllowed, "POST only")
+		if !httpapi.Only(w, r, http.MethodPost) {
 			return
 		}
-		var req ScoreRequest
-		body := http.MaxBytesReader(w, r.Body, maxScoreBodyBytes)
-		if err := json.NewDecoder(body).Decode(&req); err != nil {
-			status := http.StatusBadRequest
-			var tooLarge *http.MaxBytesError
-			if errors.As(err, &tooLarge) {
-				status = http.StatusRequestEntityTooLarge
-			}
-			httpError(w, status, "bad JSON: %v", err)
+		b, ok := httpapi.ReadBatch(w, r)
+		if !ok {
 			return
-		}
-		// The single field joins the batch at position 0; its verdict is
-		// surfaced through resp.Verdict even when a batch rides along.
-		hexes := req.Bytecodes
-		hasSingle := req.Bytecode != ""
-		if hasSingle {
-			hexes = append([]string{req.Bytecode}, hexes...)
-		}
-		if len(hexes) == 0 {
-			httpError(w, http.StatusBadRequest, "no bytecode in request")
-			return
-		}
-		if len(hexes) > maxScoreBatch {
-			httpError(w, http.StatusRequestEntityTooLarge, "batch of %d exceeds limit %d", len(hexes), maxScoreBatch)
-			return
-		}
-		codes := make([][]byte, len(hexes))
-		for i, h := range hexes {
-			code, err := DecodeHex(h)
-			if err != nil {
-				httpError(w, http.StatusBadRequest, "bytecode %d: %v", i, err)
-				return
-			}
-			if len(code) == 0 {
-				httpError(w, http.StatusBadRequest, "bytecode %d: empty", i)
-				return
-			}
-			if len(code) > maxScoreItemBytes {
-				httpErrorKind(w, http.StatusRequestEntityTooLarge, errKindBytecodeTooLarge,
-					"bytecode %d: %d bytes exceeds the EIP-170 deployed-code cap %d", i, len(code), maxScoreItemBytes)
-				return
-			}
-			codes[i] = code
 		}
 		t0 := time.Now()
-		verdicts, err := d.ScoreBatch(r.Context(), codes)
+		verdicts, err := d.ScoreBatch(r.Context(), b.Codes)
 		if err != nil {
-			httpError(w, http.StatusInternalServerError, "score: %v", err)
+			httpapi.Error(w, http.StatusInternalServerError, "score: %v", err)
 			return
 		}
-		resp := ScoreResponse{
-			Verdicts:  make([]ScoreVerdict, len(verdicts)),
-			ElapsedMS: float64(time.Since(t0).Microseconds()) / 1000,
-		}
+		wire := make([]ScoreVerdict, len(verdicts))
 		for i, v := range verdicts {
-			resp.Verdicts[i] = toWire(v)
+			wire[i] = toWire(v)
 		}
-		if hasSingle {
-			resp.Verdict = &resp.Verdicts[0]
-		}
-		writeJSON(w, http.StatusOK, resp)
+		httpapi.WriteVerdicts(w, wire, b.Single, t0)
 	})
 	if state.txScorer != nil {
 		mux.HandleFunc("/score/tx", func(w http.ResponseWriter, r *http.Request) {
@@ -367,7 +248,7 @@ func NewScoreHandler(d ScoreBackend, opts ...ServeOption) http.Handler {
 		if state.txWatcher != nil {
 			body["tx_monitor"] = state.txWatcher.Stats()
 		}
-		writeJSON(w, http.StatusOK, body)
+		httpapi.WriteJSON(w, http.StatusOK, body)
 	})
 	// Readiness is distinct from liveness: /healthz answers 200 as long as
 	// the process is up, while /readyz flips unready whenever the backend is
@@ -383,10 +264,10 @@ func NewScoreHandler(d ScoreBackend, opts ...ServeOption) http.Handler {
 			reason = "model swap in progress"
 		}
 		if reason != "" {
-			writeJSON(w, http.StatusServiceUnavailable, map[string]any{"ready": false, "role": state.role, "reason": reason})
+			httpapi.WriteJSON(w, http.StatusServiceUnavailable, map[string]any{"ready": false, "role": state.role, "reason": reason})
 			return
 		}
-		writeJSON(w, http.StatusOK, map[string]any{"ready": true, "role": state.role})
+		httpapi.WriteJSON(w, http.StatusOK, map[string]any{"ready": true, "role": state.role})
 	})
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		writeMetrics(w, d, state)
@@ -411,76 +292,24 @@ func NewScoreHandler(d ScoreBackend, opts ...ServeOption) http.Handler {
 // fuse-score each (calldata, code) pair, and answer Modality="tx" verdicts
 // in request order.
 func serveTxScore(w http.ResponseWriter, r *http.Request, ts TxScorer) {
-	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, "POST only")
+	if !httpapi.Only(w, r, http.MethodPost) {
 		return
 	}
-	var req TxScoreRequest
-	body := http.MaxBytesReader(w, r.Body, maxScoreBodyBytes)
-	if err := json.NewDecoder(body).Decode(&req); err != nil {
-		status := http.StatusBadRequest
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			status = http.StatusRequestEntityTooLarge
-		}
-		httpError(w, status, "bad JSON: %v", err)
+	b, ok := httpapi.ReadTxBatch(w, r)
+	if !ok {
 		return
-	}
-	items := req.Txs
-	hasSingle := req.Tx != nil
-	if hasSingle {
-		items = append([]TxScoreItem{*req.Tx}, items...)
-	}
-	if len(items) == 0 {
-		httpError(w, http.StatusBadRequest, "no tx in request")
-		return
-	}
-	if len(items) > maxScoreBatch {
-		httpError(w, http.StatusRequestEntityTooLarge, "batch of %d exceeds limit %d", len(items), maxScoreBatch)
-		return
-	}
-	type decoded struct{ calldata, code []byte }
-	txs := make([]decoded, len(items))
-	for i, item := range items {
-		var err error
-		if item.Calldata != "" {
-			if txs[i].calldata, err = DecodeHex(item.Calldata); err != nil {
-				httpError(w, http.StatusBadRequest, "tx %d calldata: %v", i, err)
-				return
-			}
-			if len(txs[i].calldata) > maxTxCalldataBytes {
-				httpErrorKind(w, http.StatusRequestEntityTooLarge, errKindCalldataTooLarge,
-					"tx %d: calldata of %d bytes exceeds cap %d", i, len(txs[i].calldata), maxTxCalldataBytes)
-				return
-			}
-		}
-		if item.Code != "" {
-			if txs[i].code, err = DecodeHex(item.Code); err != nil {
-				httpError(w, http.StatusBadRequest, "tx %d code: %v", i, err)
-				return
-			}
-			if len(txs[i].code) > maxScoreItemBytes {
-				httpErrorKind(w, http.StatusRequestEntityTooLarge, errKindBytecodeTooLarge,
-					"tx %d: code of %d bytes exceeds the EIP-170 deployed-code cap %d", i, len(txs[i].code), maxScoreItemBytes)
-				return
-			}
-		}
 	}
 	t0 := time.Now()
-	resp := ScoreResponse{Verdicts: make([]ScoreVerdict, len(txs))}
-	for i := range txs {
-		v, err := ts.ScoreTx(r.Context(), txs[i].calldata, txs[i].code)
+	wire := make([]ScoreVerdict, len(b.Txs))
+	for i, tx := range b.Txs {
+		v, err := ts.ScoreTx(r.Context(), tx.Calldata, tx.Code)
 		if err != nil {
-			httpError(w, http.StatusInternalServerError, "score tx %d: %v", i, err)
+			httpapi.Error(w, http.StatusInternalServerError, "score tx %d: %v", i, err)
 			return
 		}
-		resp.Verdicts[i] = txToWire(v)
+		wire[i] = txToWire(v)
 	}
-	resp.ElapsedMS = float64(time.Since(t0).Microseconds()) / 1000
-	if hasSingle {
-		resp.Verdict = &resp.Verdicts[0]
-	}
-	writeJSON(w, http.StatusOK, resp)
+	httpapi.WriteVerdicts(w, wire, b.Single, t0)
 }
 
 // mountAdmin wires the champion/challenger admin surface onto the mux.
@@ -495,31 +324,28 @@ func mountAdmin(mux *http.ServeMux, lc *Lifecycle) {
 		return body
 	}
 	mux.HandleFunc("/admin/versions", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodGet {
-			httpError(w, http.StatusMethodNotAllowed, "GET only")
+		if !httpapi.Only(w, r, http.MethodGet) {
 			return
 		}
 		body := liveState()
 		body["versions"] = lc.Versions()
-		writeJSON(w, http.StatusOK, body)
+		httpapi.WriteJSON(w, http.StatusOK, body)
 	})
 	mux.HandleFunc("/admin/reload", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			httpError(w, http.StatusMethodNotAllowed, "POST only")
+		if !httpapi.Only(w, r, http.MethodPost) {
 			return
 		}
 		changed, err := lc.Reload()
 		if err != nil {
-			httpError(w, http.StatusInternalServerError, "reload: %v", err)
+			httpapi.Error(w, http.StatusInternalServerError, "reload: %v", err)
 			return
 		}
 		body := liveState()
 		body["changed"] = changed
-		writeJSON(w, http.StatusOK, body)
+		httpapi.WriteJSON(w, http.StatusOK, body)
 	})
 	mux.HandleFunc("/admin/promote", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			httpError(w, http.StatusMethodNotAllowed, "POST only")
+		if !httpapi.Only(w, r, http.MethodPost) {
 			return
 		}
 		id, err := lc.Promote()
@@ -530,52 +356,48 @@ func mountAdmin(mux *http.ServeMux, lc *Lifecycle) {
 			if _, _, ok := lc.Handle().Challenger(); !ok {
 				status = http.StatusConflict
 			}
-			httpError(w, status, "promote: %v", err)
+			httpapi.Error(w, status, "promote: %v", err)
 			return
 		}
 		body := liveState()
 		body["promoted"] = id
-		writeJSON(w, http.StatusOK, body)
+		httpapi.WriteJSON(w, http.StatusOK, body)
 	})
 }
 
-// writeMetrics renders the Prometheus text exposition format by hand — the
-// stdlib-only constraint rules out the client library, and the format is
-// three lines per series.
+// writeMetrics renders /metrics: the detector's series plus those of every
+// attached workload.
 func writeMetrics(w http.ResponseWriter, d ScoreBackend, state *serveState) {
-	var b strings.Builder
-	metric := func(name, help, typ string, v float64) {
-		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s %s\n%s %g\n", name, help, name, typ, name, v)
-	}
+	var e httpapi.Exposition
 	hits, misses := d.CacheStats()
-	metric("phishinghook_uptime_seconds", "Seconds since the handler started.", "gauge", time.Since(state.started).Seconds())
-	metric("phishinghook_scores_total", "Bytecodes scored by the detector.", "counter", float64(d.ScoreCount()))
-	metric("phishinghook_feature_cache_hits_total", "Feature-cache hits.", "counter", float64(hits))
-	metric("phishinghook_feature_cache_misses_total", "Feature-cache misses.", "counter", float64(misses))
+	e.Metric("phishinghook_uptime_seconds", "Seconds since the handler started.", "gauge", time.Since(state.started).Seconds())
+	e.Metric("phishinghook_scores_total", "Bytecodes scored by the detector.", "counter", float64(d.ScoreCount()))
+	e.Metric("phishinghook_feature_cache_hits_total", "Feature-cache hits.", "counter", float64(hits))
+	e.Metric("phishinghook_feature_cache_misses_total", "Feature-cache misses.", "counter", float64(misses))
 	if as, ok := d.(interface{ AdversaryStats() AdversaryStats }); ok {
 		s := as.AdversaryStats()
-		metric("phishinghook_adversary_scored_total", "Verdicts served with evasion telemetry.", "counter", float64(s.Scored))
-		metric("phishinghook_adversary_suspects_total", "Verdicts flagged evasion-suspect.", "counter", float64(s.Suspects))
-		metric("phishinghook_adversary_proxies_total", "EIP-1167 minimal proxies scored.", "counter", float64(s.Proxies))
-		metric("phishinghook_adversary_mean_dead_ratio", "Mean dead-code ratio over telemetry-scored verdicts.", "gauge", s.MeanDeadRatio)
-		metric("phishinghook_adversary_mean_divergence", "Mean raw-vs-canonical score divergence over telemetry-scored verdicts.", "gauge", s.MeanDivergence)
+		e.Metric("phishinghook_adversary_scored_total", "Verdicts served with evasion telemetry.", "counter", float64(s.Scored))
+		e.Metric("phishinghook_adversary_suspects_total", "Verdicts flagged evasion-suspect.", "counter", float64(s.Suspects))
+		e.Metric("phishinghook_adversary_proxies_total", "EIP-1167 minimal proxies scored.", "counter", float64(s.Proxies))
+		e.Metric("phishinghook_adversary_mean_dead_ratio", "Mean dead-code ratio over telemetry-scored verdicts.", "gauge", s.MeanDeadRatio)
+		e.Metric("phishinghook_adversary_mean_divergence", "Mean raw-vs-canonical score divergence over telemetry-scored verdicts.", "gauge", s.MeanDivergence)
 	}
 	if sw, ok := d.(*Swappable); ok {
-		writeLifecycleMetrics(&b, metric, sw.SwapStats())
+		writeLifecycleMetrics(&e, sw.SwapStats())
 	}
 	if rt := state.retrainer; rt != nil {
 		s := rt.Stats()
-		metric("phishinghook_retrainer_observed_total", "Scores observed by the drift retrainer.", "counter", float64(s.Observed))
-		metric("phishinghook_retrainer_checks_total", "Drift evaluations performed.", "counter", float64(s.Checks))
-		metric("phishinghook_retrainer_triggers_total", "Drift triggers fired.", "counter", float64(s.Triggers))
-		metric("phishinghook_retrainer_retrains_total", "Retraining rounds completed.", "counter", float64(s.Retrains))
-		metric("phishinghook_retrainer_train_errors_total", "Retraining rounds failed.", "counter", float64(s.TrainErrors))
-		metric("phishinghook_retrainer_last_psi", "Most recent PSI between reference and live scores.", "gauge", s.LastPSI)
-		metric("phishinghook_retrainer_last_ks_p", "Most recent two-sample KS p-value.", "gauge", s.LastKSP)
+		e.Metric("phishinghook_retrainer_observed_total", "Scores observed by the drift retrainer.", "counter", float64(s.Observed))
+		e.Metric("phishinghook_retrainer_checks_total", "Drift evaluations performed.", "counter", float64(s.Checks))
+		e.Metric("phishinghook_retrainer_triggers_total", "Drift triggers fired.", "counter", float64(s.Triggers))
+		e.Metric("phishinghook_retrainer_retrains_total", "Retraining rounds completed.", "counter", float64(s.Retrains))
+		e.Metric("phishinghook_retrainer_train_errors_total", "Retraining rounds failed.", "counter", float64(s.TrainErrors))
+		e.Metric("phishinghook_retrainer_last_psi", "Most recent PSI between reference and live scores.", "gauge", s.LastPSI)
+		e.Metric("phishinghook_retrainer_last_ks_p", "Most recent two-sample KS p-value.", "gauge", s.LastKSP)
 	}
 	if wt := state.watcher; wt != nil {
-		writeMonitorSeries(&b, metric, wt.Stats())
-		writeEndpointSeries(&b, wt.Endpoints())
+		writeMonitorSeries(&e, wt.Stats())
+		writeEndpointSeries(&e, wt.Endpoints())
 	}
 	if bf := state.backfill; bf != nil {
 		s := bf.Stats()
@@ -585,118 +407,117 @@ func writeMetrics(w http.ResponseWriter, d ScoreBackend, state *serveState) {
 		// attached the watcher owns those families and the backfill
 		// contributes its shard progress.
 		if state.watcher == nil {
-			writeMonitorSeries(&b, metric, s.Stats)
-			writeEndpointSeries(&b, s.Endpoints)
+			writeMonitorSeries(&e, s.Stats)
+			writeEndpointSeries(&e, s.Endpoints)
 		}
-		writeShardSeries(&b, s.Shards)
+		writeShardSeries(&e, s.Shards)
 	}
 	if tw := state.txWatcher; tw != nil {
-		writeTxSeries(&b, metric, tw.Stats())
+		writeTxSeries(&e, tw.Stats())
 		// The phishinghook_rpc_endpoint_* family is owned by whichever
 		// ingestion workload is attached first (watcher, then backfill);
 		// the tx watcher contributes its plane only when it is alone.
 		if state.watcher == nil && state.backfill == nil {
-			writeEndpointSeries(&b, tw.Endpoints())
+			writeEndpointSeries(&e, tw.Endpoints())
 		}
 	}
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	_, _ = io.WriteString(w, b.String())
+	e.Serve(w)
+}
+
+// writeLatencySummary renders a p50/p99 score-latency summary.
+func writeLatencySummary(e *httpapi.Exposition, name, help string, p50, p99 float64) {
+	e.Family(name, help, "summary")
+	e.Sample(name, "quantile", "0.5", p50)
+	e.Sample(name, "quantile", "0.99", p99)
+}
+
+// writeVersionInfo renders a {version="..."} 1 info gauge, omitted while
+// the version is unknown.
+func writeVersionInfo(e *httpapi.Exposition, name, help, version string) {
+	if version != "" {
+		e.Family(name, help, "gauge")
+		e.Sample(name, "version", version, 1)
+	}
 }
 
 // writeTxSeries renders the transaction-stream counters.
-func writeTxSeries(b *strings.Builder, metric func(name, help, typ string, v float64), s TxWatcherStats) {
-	metric("phishinghook_tx_cursor_block", "Last block whose visible txs are all judged.", "gauge", float64(s.Cursor))
-	metric("phishinghook_tx_polls_total", "Pending-tx feed polls performed.", "counter", float64(s.Polls))
-	metric("phishinghook_tx_seen_total", "Transactions delivered by the feed.", "counter", float64(s.TxsSeen))
-	metric("phishinghook_tx_scored_total", "Transactions run through the fused scorer.", "counter", float64(s.TxsScored))
-	metric("phishinghook_tx_dedup_hits_total", "Feed replays skipped as already judged.", "counter", float64(s.DedupHits))
-	metric("phishinghook_tx_alerts_total", "Transaction alerts emitted.", "counter", float64(s.Alerts))
-	metric("phishinghook_tx_poisoned_total", "Transactions abandoned after repeated score failures.", "counter", float64(s.Poisoned))
-	metric("phishinghook_tx_errors_total", "RPC/score/sink errors on the tx stream.", "counter", float64(s.Errors))
-	metric("phishinghook_tx_feed_reopens_total", "Pending-tx filter reinstalls after loss.", "counter", float64(s.FeedReopens))
-	metric("phishinghook_tx_code_cache_hits_total", "Callee-bytecode cache hits.", "counter", float64(s.CodeCacheHits))
-	metric("phishinghook_tx_code_cache_misses_total", "Callee-bytecode cache misses.", "counter", float64(s.CodeCacheMisses))
-	fmt.Fprintf(b, "# HELP phishinghook_tx_score_latency_ms Fused tx score latency quantile upper bounds.\n"+
-		"# TYPE phishinghook_tx_score_latency_ms summary\n"+
-		"phishinghook_tx_score_latency_ms{quantile=\"0.5\"} %g\n"+
-		"phishinghook_tx_score_latency_ms{quantile=\"0.99\"} %g\n",
-		s.ScoreP50MS, s.ScoreP99MS)
-	if s.ModelVersion != "" {
-		fmt.Fprintf(b, "# HELP phishinghook_tx_model_version Lifecycle version behind the most recent fused score.\n"+
-			"# TYPE phishinghook_tx_model_version gauge\n"+
-			"phishinghook_tx_model_version{version=%q} 1\n", s.ModelVersion)
-	}
+func writeTxSeries(e *httpapi.Exposition, s TxWatcherStats) {
+	e.Metric("phishinghook_tx_cursor_block", "Last block whose visible txs are all judged.", "gauge", float64(s.Cursor))
+	e.Metric("phishinghook_tx_polls_total", "Pending-tx feed polls performed.", "counter", float64(s.Polls))
+	e.Metric("phishinghook_tx_seen_total", "Transactions delivered by the feed.", "counter", float64(s.TxsSeen))
+	e.Metric("phishinghook_tx_scored_total", "Transactions run through the fused scorer.", "counter", float64(s.TxsScored))
+	e.Metric("phishinghook_tx_dedup_hits_total", "Feed replays skipped as already judged.", "counter", float64(s.DedupHits))
+	e.Metric("phishinghook_tx_alerts_total", "Transaction alerts emitted.", "counter", float64(s.Alerts))
+	e.Metric("phishinghook_tx_poisoned_total", "Transactions abandoned after repeated score failures.", "counter", float64(s.Poisoned))
+	e.Metric("phishinghook_tx_errors_total", "RPC/score/sink errors on the tx stream.", "counter", float64(s.Errors))
+	e.Metric("phishinghook_tx_feed_reopens_total", "Pending-tx filter reinstalls after loss.", "counter", float64(s.FeedReopens))
+	e.Metric("phishinghook_tx_code_cache_hits_total", "Callee-bytecode cache hits.", "counter", float64(s.CodeCacheHits))
+	e.Metric("phishinghook_tx_code_cache_misses_total", "Callee-bytecode cache misses.", "counter", float64(s.CodeCacheMisses))
+	writeLatencySummary(e, "phishinghook_tx_score_latency_ms", "Fused tx score latency quantile upper bounds.", s.ScoreP50MS, s.ScoreP99MS)
+	writeVersionInfo(e, "phishinghook_tx_model_version", "Lifecycle version behind the most recent fused score.", s.ModelVersion)
 }
 
 // writeMonitorSeries renders the shared ingestion-pipeline counters — the
 // same series whether a live watcher or a backfill drives the pipeline.
-func writeMonitorSeries(b *strings.Builder, metric func(name, help, typ string, v float64), s WatcherStats) {
-	metric("phishinghook_monitor_cursor_block", "Last fully scored block.", "gauge", float64(s.Cursor))
-	metric("phishinghook_monitor_polls_total", "Head polls performed.", "counter", float64(s.Polls))
-	metric("phishinghook_monitor_blocks_seen_total", "Blocks scanned.", "counter", float64(s.BlocksSeen))
-	metric("phishinghook_monitor_contracts_seen_total", "Deployments observed.", "counter", float64(s.ContractsSeen))
-	metric("phishinghook_monitor_contracts_scored_total", "Deployments scored.", "counter", float64(s.ContractsScored))
-	metric("phishinghook_monitor_dedup_hits_total", "Deployments skipped as bytecode duplicates.", "counter", float64(s.DedupHits))
-	metric("phishinghook_monitor_alerts_total", "Alerts emitted.", "counter", float64(s.Alerts))
-	metric("phishinghook_monitor_dropped_total", "Deployments shed under the drop policy.", "counter", float64(s.Dropped))
-	metric("phishinghook_monitor_poisoned_total", "Bytecodes abandoned after repeated score failures.", "counter", float64(s.Poisoned))
-	metric("phishinghook_monitor_errors_total", "RPC/registry/sink errors.", "counter", float64(s.Errors))
-	metric("phishinghook_monitor_queue_depth", "Score-queue occupancy.", "gauge", float64(s.QueueDepth))
-	metric("phishinghook_monitor_queue_capacity", "Score-queue bound.", "gauge", float64(s.QueueCap))
-	fmt.Fprintf(b, "# HELP phishinghook_monitor_score_latency_ms Score latency quantile upper bounds.\n"+
-		"# TYPE phishinghook_monitor_score_latency_ms summary\n"+
-		"phishinghook_monitor_score_latency_ms{quantile=\"0.5\"} %g\n"+
-		"phishinghook_monitor_score_latency_ms{quantile=\"0.99\"} %g\n",
-		s.ScoreP50MS, s.ScoreP99MS)
-	if s.ModelVersion != "" {
-		fmt.Fprintf(b, "# HELP phishinghook_monitor_model_version Lifecycle version of the most recent score.\n"+
-			"# TYPE phishinghook_monitor_model_version gauge\n"+
-			"phishinghook_monitor_model_version{version=%q} 1\n", s.ModelVersion)
-	}
+func writeMonitorSeries(e *httpapi.Exposition, s WatcherStats) {
+	e.Metric("phishinghook_monitor_cursor_block", "Last fully scored block.", "gauge", float64(s.Cursor))
+	e.Metric("phishinghook_monitor_polls_total", "Head polls performed.", "counter", float64(s.Polls))
+	e.Metric("phishinghook_monitor_blocks_seen_total", "Blocks scanned.", "counter", float64(s.BlocksSeen))
+	e.Metric("phishinghook_monitor_contracts_seen_total", "Deployments observed.", "counter", float64(s.ContractsSeen))
+	e.Metric("phishinghook_monitor_contracts_scored_total", "Deployments scored.", "counter", float64(s.ContractsScored))
+	e.Metric("phishinghook_monitor_dedup_hits_total", "Deployments skipped as bytecode duplicates.", "counter", float64(s.DedupHits))
+	e.Metric("phishinghook_monitor_alerts_total", "Alerts emitted.", "counter", float64(s.Alerts))
+	e.Metric("phishinghook_monitor_dropped_total", "Deployments shed under the drop policy.", "counter", float64(s.Dropped))
+	e.Metric("phishinghook_monitor_poisoned_total", "Bytecodes abandoned after repeated score failures.", "counter", float64(s.Poisoned))
+	e.Metric("phishinghook_monitor_errors_total", "RPC/registry/sink errors.", "counter", float64(s.Errors))
+	e.Metric("phishinghook_monitor_queue_depth", "Score-queue occupancy.", "gauge", float64(s.QueueDepth))
+	e.Metric("phishinghook_monitor_queue_capacity", "Score-queue bound.", "gauge", float64(s.QueueCap))
+	writeLatencySummary(e, "phishinghook_monitor_score_latency_ms", "Score latency quantile upper bounds.", s.ScoreP50MS, s.ScoreP99MS)
+	writeVersionInfo(e, "phishinghook_monitor_model_version", "Lifecycle version of the most recent score.", s.ModelVersion)
 }
 
 // writeEndpointSeries renders the fetch plane's per-endpoint scheduler
 // state — the operator view of AIMD windows, health and congestion that the
 // backfill/watch throughput story is steered by.
-func writeEndpointSeries(b *strings.Builder, eps []EndpointStats) {
+func writeEndpointSeries(e *httpapi.Exposition, eps []EndpointStats) {
 	if len(eps) == 0 {
 		return
 	}
 	series := func(name, help, typ string, value func(EndpointStats) float64) {
-		fmt.Fprintf(b, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
+		e.Family(name, help, typ)
 		for _, ep := range eps {
-			fmt.Fprintf(b, "%s{endpoint=%q} %g\n", name, ep.URL, value(ep))
+			e.Sample(name, "endpoint", ep.URL, value(ep))
 		}
 	}
 	series("phishinghook_rpc_endpoint_requests_total", "RPC exchanges attempted per endpoint.", "counter",
-		func(e EndpointStats) float64 { return float64(e.Requests) })
+		func(ep EndpointStats) float64 { return float64(ep.Requests) })
 	series("phishinghook_rpc_endpoint_successes_total", "RPC exchanges answered per endpoint.", "counter",
-		func(e EndpointStats) float64 { return float64(e.Successes) })
+		func(ep EndpointStats) float64 { return float64(ep.Successes) })
 	series("phishinghook_rpc_endpoint_rate_limited_total", "429 responses per endpoint.", "counter",
-		func(e EndpointStats) float64 { return float64(e.RateLimited) })
+		func(ep EndpointStats) float64 { return float64(ep.RateLimited) })
 	series("phishinghook_rpc_endpoint_timeouts_total", "Timed-out exchanges per endpoint.", "counter",
-		func(e EndpointStats) float64 { return float64(e.Timeouts) })
+		func(ep EndpointStats) float64 { return float64(ep.Timeouts) })
 	series("phishinghook_rpc_endpoint_failures_total", "Other transport/server faults per endpoint.", "counter",
-		func(e EndpointStats) float64 { return float64(e.Failures) })
+		func(ep EndpointStats) float64 { return float64(ep.Failures) })
 	series("phishinghook_rpc_endpoint_hedges_total", "Hedged (raced) requests per endpoint.", "counter",
-		func(e EndpointStats) float64 { return float64(e.Hedges) })
+		func(ep EndpointStats) float64 { return float64(ep.Hedges) })
 	series("phishinghook_rpc_endpoint_limit", "Current AIMD concurrency window (0 = uncapped single-endpoint mode).", "gauge",
-		func(e EndpointStats) float64 { return e.Limit })
+		func(ep EndpointStats) float64 { return ep.Limit })
 	series("phishinghook_rpc_endpoint_inflight", "Exchanges currently charged against the window.", "gauge",
-		func(e EndpointStats) float64 { return float64(e.Inflight) })
+		func(ep EndpointStats) float64 { return float64(ep.Inflight) })
 	series("phishinghook_rpc_endpoint_health", "Success EWMA per endpoint.", "gauge",
-		func(e EndpointStats) float64 { return e.Health })
+		func(ep EndpointStats) float64 { return ep.Health })
 }
 
 // writeShardSeries renders backfill shard progress.
-func writeShardSeries(b *strings.Builder, shards []monitor.ShardStats) {
+func writeShardSeries(e *httpapi.Exposition, shards []monitor.ShardStats) {
 	if len(shards) == 0 {
 		return
 	}
 	series := func(name, help, typ string, value func(monitor.ShardStats) float64) {
-		fmt.Fprintf(b, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
+		e.Family(name, help, typ)
 		for i, sh := range shards {
-			fmt.Fprintf(b, "%s{shard=\"%d\"} %g\n", name, i, value(sh))
+			e.Sample(name, "shard", strconv.Itoa(i), value(sh))
 		}
 	}
 	series("phishinghook_backfill_shard_cursor", "Last fully scored block per shard.", "gauge",
@@ -715,21 +536,15 @@ func writeShardSeries(b *strings.Builder, shards []monitor.ShardStats) {
 // writeLifecycleMetrics renders the Swappable's per-version counters and
 // shadow divergence — the champion/challenger observability the admin flow
 // is steered by.
-func writeLifecycleMetrics(b *strings.Builder, metric func(name, help, typ string, v float64), s SwapStats) {
-	if s.Champion != "" {
-		fmt.Fprintf(b, "# HELP phishinghook_champion_info Live champion model version.\n"+
-			"# TYPE phishinghook_champion_info gauge\nphishinghook_champion_info{version=%q} 1\n", s.Champion)
-	}
-	if s.Challenger != "" {
-		fmt.Fprintf(b, "# HELP phishinghook_challenger_info Live shadow challenger model version.\n"+
-			"# TYPE phishinghook_challenger_info gauge\nphishinghook_challenger_info{version=%q} 1\n", s.Challenger)
-	}
-	metric("phishinghook_model_swaps_total", "Model hot-swaps performed on the serving handle.", "counter", float64(s.Swaps))
+func writeLifecycleMetrics(e *httpapi.Exposition, s SwapStats) {
+	writeVersionInfo(e, "phishinghook_champion_info", "Live champion model version.", s.Champion)
+	writeVersionInfo(e, "phishinghook_challenger_info", "Live shadow challenger model version.", s.Challenger)
+	e.Metric("phishinghook_model_swaps_total", "Model hot-swaps performed on the serving handle.", "counter", float64(s.Swaps))
 	if len(s.Versions) > 0 {
 		series := func(name, help string, value func(VersionStats) float64, typ string) {
-			fmt.Fprintf(b, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
+			e.Family(name, help, typ)
 			for _, v := range s.Versions {
-				fmt.Fprintf(b, "%s{version=%q} %g\n", name, v.Version, value(v))
+				e.Sample(name, "version", v.Version, value(v))
 			}
 		}
 		series("phishinghook_version_scored_total", "Scores served per model version.",
@@ -741,11 +556,11 @@ func writeLifecycleMetrics(b *strings.Builder, metric func(name, help, typ strin
 		series("phishinghook_version_precision_proxy", "High-confidence share of flags per version (ground-truth-free precision indicator).",
 			func(v VersionStats) float64 { return v.PrecisionProxy }, "gauge")
 	}
-	metric("phishinghook_shadow_compared_total", "Deployments scored by both champion and challenger.", "counter", float64(s.Shadow.Compared))
-	metric("phishinghook_shadow_disagreements_total", "Champion/challenger label disagreements.", "counter", float64(s.Shadow.Disagreements))
-	metric("phishinghook_shadow_mean_abs_delta", "Mean |P_champion - P_challenger| over compared traffic.", "gauge", s.Shadow.MeanAbsDelta)
-	metric("phishinghook_shadow_dropped_total", "Shadow replays shed on a full queue.", "counter", float64(s.Shadow.Dropped))
-	metric("phishinghook_shadow_errors_total", "Challenger score failures.", "counter", float64(s.Shadow.Errors))
+	e.Metric("phishinghook_shadow_compared_total", "Deployments scored by both champion and challenger.", "counter", float64(s.Shadow.Compared))
+	e.Metric("phishinghook_shadow_disagreements_total", "Champion/challenger label disagreements.", "counter", float64(s.Shadow.Disagreements))
+	e.Metric("phishinghook_shadow_mean_abs_delta", "Mean |P_champion - P_challenger| over compared traffic.", "gauge", s.Shadow.MeanAbsDelta)
+	e.Metric("phishinghook_shadow_dropped_total", "Shadow replays shed on a full queue.", "counter", float64(s.Shadow.Dropped))
+	e.Metric("phishinghook_shadow_errors_total", "Challenger score failures.", "counter", float64(s.Shadow.Errors))
 }
 
 // mountPoisonAdmin wires the tx quarantine's operator surface onto the mux:
@@ -762,7 +577,7 @@ func mountPoisonAdmin(mux *http.ServeMux, tw *TxWatcher) {
 		switch r.Method {
 		case http.MethodGet:
 			entries := tw.PoisonList()
-			writeJSON(w, http.StatusOK, map[string]any{"pending": len(entries), "entries": entries})
+			httpapi.WriteJSON(w, http.StatusOK, map[string]any{"pending": len(entries), "entries": entries})
 		case http.MethodPost:
 			var req struct {
 				Action string `json:"action"`
@@ -776,31 +591,14 @@ func mountPoisonAdmin(mux *http.ServeMux, tw *TxWatcher) {
 			switch req.Action {
 			case "", "drain", "retry":
 				res := tw.DrainPoison(r.Context())
-				writeJSON(w, http.StatusOK, map[string]any{"drain": res, "pending": len(tw.PoisonList())})
+				httpapi.WriteJSON(w, http.StatusOK, map[string]any{"drain": res, "pending": len(tw.PoisonList())})
 			default:
-				httpError(w, http.StatusBadRequest, "unknown poison action %q (want drain)", req.Action)
+				httpapi.Error(w, http.StatusBadRequest, "unknown poison action %q (want drain)", req.Action)
 			}
 		default:
-			httpError(w, http.StatusMethodNotAllowed, "use GET to list, POST to drain")
+			httpapi.Error(w, http.StatusMethodNotAllowed, "use GET to list, POST to drain")
 		}
 	})
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-func httpError(w http.ResponseWriter, status int, format string, args ...any) {
-	writeJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
-}
-
-// httpErrorKind is httpError plus a machine-readable "kind" so clients can
-// branch on policy rejections without parsing the message. Plain httpError
-// bodies stay exactly as they were.
-func httpErrorKind(w http.ResponseWriter, status int, kind, format string, args ...any) {
-	writeJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...), "kind": kind})
 }
 
 // Server wraps http.Server with the production posture a scoring replica
@@ -831,7 +629,7 @@ func NewServer(addr string, handler http.Handler) *Server {
 		Addr: addr,
 		Handler: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			if s.draining.Load() && r.URL.Path == "/readyz" {
-				writeJSON(w, http.StatusServiceUnavailable, map[string]any{"ready": false, "reason": "draining"})
+				httpapi.WriteJSON(w, http.StatusServiceUnavailable, map[string]any{"ready": false, "reason": "draining"})
 				return
 			}
 			handler.ServeHTTP(w, r)

@@ -6,6 +6,8 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"github.com/phishinghook/phishinghook/internal/httpapi"
 )
 
 // FuzzScoreHandler throws arbitrary request bodies at POST /score — the
@@ -36,7 +38,7 @@ func FuzzScoreHandler(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	oversized, err := json.Marshal(ScoreRequest{Bytecode: "0x" + strings.Repeat("00", maxScoreItemBytes+1)})
+	oversized, err := json.Marshal(ScoreRequest{Bytecode: "0x" + strings.Repeat("00", httpapi.MaxItemBytes+1)})
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -78,8 +80,8 @@ func FuzzScoreHandler(f *testing.F) {
 		if errBody["error"] == "" {
 			t.Fatalf("status %d without an error message: %q", rec.Code, rec.Body.Bytes())
 		}
-		if rec.Code == http.StatusRequestEntityTooLarge && errBody["kind"] != errKindBytecodeTooLarge {
-			t.Fatalf("413 with kind %q, want %q", errBody["kind"], errKindBytecodeTooLarge)
+		if rec.Code == http.StatusRequestEntityTooLarge && errBody["kind"] != httpapi.KindBytecodeTooLarge {
+			t.Fatalf("413 with kind %q, want %q", errBody["kind"], httpapi.KindBytecodeTooLarge)
 		}
 	})
 }

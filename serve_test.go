@@ -10,6 +10,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"github.com/phishinghook/phishinghook/internal/httpapi"
 )
 
 func testServer(t *testing.T) (*httptest.Server, *Dataset) {
@@ -146,7 +148,7 @@ func TestScoreHandlerRejects(t *testing.T) {
 	}
 
 	oversized := ScoreRequest{}
-	for i := 0; i <= maxScoreBatch; i++ {
+	for i := 0; i <= httpapi.MaxBatch; i++ {
 		oversized.Bytecodes = append(oversized.Bytecodes, "0x60")
 	}
 	resp, _ = postScore(t, srv.URL, oversized)
