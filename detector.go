@@ -163,7 +163,7 @@ type Detector struct {
 	fz        features.Featurizer
 	cache     *lru.Sharded[scoreMemo]
 	workers   int
-	rpc       *ethrpc.Client
+	rpc       *ethrpc.MultiClient
 	canonical bool
 	telemetry bool
 	scored    atomic.Uint64
@@ -295,7 +295,11 @@ func newDetector(name string, scorer models.Scorer, cfg detectorConfig) (*Detect
 		telemetry: cfg.telemetry,
 	}
 	if cfg.rpcURL != "" {
-		d.rpc = ethrpc.NewClient(cfg.rpcURL)
+		rpc, err := ethrpc.NewMultiClient([]string{cfg.rpcURL})
+		if err != nil {
+			return nil, err
+		}
+		d.rpc = rpc
 	}
 	return d, nil
 }

@@ -27,7 +27,7 @@ func newExchanger(timeout time.Duration) exchanger {
 }
 
 // exchange POSTs req as JSON to base+path and returns the n verdicts of
-// the reply. The error classes are what the retry loops steer by:
+// the reply. The error classes are what ethrpc.Retry steers by:
 //
 //   - 429: a transient *ethrpc.RateLimitError carrying Retry-After;
 //   - the exchange's own timeout: transient, matching
@@ -87,7 +87,7 @@ func (x exchanger) exchange(ctx context.Context, base, path string, req any, n i
 // ReplicaFault is a typed transient failure of one exchange against a
 // scoring base: the transport died, the replica answered 5xx, the response
 // arrived torn, the body ended mid-stream, or it carried the wrong number
-// of verdicts. Retry loops try again on it.
+// of verdicts. ethrpc.Retry tries again on it.
 type ReplicaFault struct {
 	Base string // the base URL the exchange ran against
 	Kind string // "transport", "disconnect", "torn", "mismatch"
@@ -121,13 +121,11 @@ func disconnectKind(err error) string {
 // ScoreClient scores bytecode through a router (or directly against one
 // replica — the wire format is identical). It is the client the watcher
 // mounts when monitoring through the cluster: transient faults and 429s are
-// retried with the same typed classification and Retry-After honoring as
-// every other retry loop in the system.
+// retried through ethrpc.Retry, honoring Retry-After.
 type ScoreClient struct {
 	exchanger
-	base     string
-	attempts int
-	backoff  time.Duration
+	base  string
+	retry ethrpc.RetryPolicy
 }
 
 // ScoreClientOption configures a ScoreClient.
@@ -138,10 +136,10 @@ type ScoreClientOption func(*ScoreClient)
 func WithScoreRetries(attempts int, backoff time.Duration) ScoreClientOption {
 	return func(c *ScoreClient) {
 		if attempts > 0 {
-			c.attempts = attempts
+			c.retry.Attempts = attempts
 		}
 		if backoff > 0 {
-			c.backoff = backoff
+			c.retry.Backoff = backoff
 		}
 	}
 }
@@ -151,8 +149,7 @@ func NewScoreClient(base string, opts ...ScoreClientOption) *ScoreClient {
 	c := &ScoreClient{
 		exchanger: newExchanger(30 * time.Second),
 		base:      base,
-		attempts:  4,
-		backoff:   50 * time.Millisecond,
+		retry:     ethrpc.RetryPolicy{Attempts: 4, Backoff: 50 * time.Millisecond, RetryAfter: true},
 	}
 	for _, opt := range opts {
 		opt(c)
@@ -164,40 +161,21 @@ func NewScoreClient(base string, opts ...ScoreClientOption) *ScoreClient {
 // faults (replica restarts mid-roll, router admission 429s) before giving
 // up. All-or-nothing: on success the verdicts align with hexes.
 func (c *ScoreClient) ScoreHexBatch(ctx context.Context, hexes []string) ([]httpapi.Verdict, error) {
-	return c.retry(ctx, "/score", httpapi.ScoreRequest{Bytecodes: hexes}, len(hexes))
+	return c.score(ctx, "/score", httpapi.ScoreRequest{Bytecodes: hexes}, len(hexes))
 }
 
 // ScoreTxBatch scores transactions (hex calldata + hex callee bytecode;
-// either side may be empty) through /score/tx with the same retry loop.
+// either side may be empty) through /score/tx with the same retries.
 // All-or-nothing: on success the fused verdicts align with items.
 func (c *ScoreClient) ScoreTxBatch(ctx context.Context, items []httpapi.TxScoreItem) ([]httpapi.Verdict, error) {
-	return c.retry(ctx, "/score/tx", httpapi.TxScoreRequest{Txs: items}, len(items))
+	return c.score(ctx, "/score/tx", httpapi.TxScoreRequest{Txs: items}, len(items))
 }
 
-// retry drives one exchange through the attempts/backoff schedule, honoring
-// a 429's Retry-After and stopping on authoritative errors.
-func (c *ScoreClient) retry(ctx context.Context, path string, req any, n int) ([]httpapi.Verdict, error) {
-	var lastErr error
-	backoff := c.backoff
-	for attempt := 0; attempt < c.attempts; attempt++ {
-		if attempt > 0 {
-			select {
-			case <-ctx.Done():
-				return nil, ctx.Err()
-			case <-time.After(ethrpc.RetryDelay(backoff, lastErr)):
-			}
-			backoff *= 2
-		}
-		verdicts, err := c.exchange(ctx, c.base, path, req, n)
-		if err == nil {
-			return verdicts, nil
-		}
-		lastErr = err
-		if !ethrpc.IsTransient(err) {
-			return nil, err
-		}
-	}
-	return nil, fmt.Errorf("cluster: score failed after %d attempts: %w", c.attempts, lastErr)
+// score runs the exchange through ethrpc.Retry.
+func (c *ScoreClient) score(ctx context.Context, path string, req any, n int) ([]httpapi.Verdict, error) {
+	return ethrpc.Retry(ctx, c.retry, func() ([]httpapi.Verdict, error) {
+		return c.exchange(ctx, c.base, path, req, n)
+	})
 }
 
 // ReplicaState is one replica's answer to the cluster survey.
@@ -308,7 +286,7 @@ func (rt *Router) adminStep(ctx context.Context, base, action string) (RollingSt
 		Error    string `json:"error"`
 	}
 	decErr := json.NewDecoder(resp.Body).Decode(&body)
-	resp.Body.Close()
+	ethrpc.CloseBody(resp)
 	if resp.StatusCode != http.StatusOK {
 		return step, fmt.Errorf("cluster: %s %s: status %d: %s", action, base, resp.StatusCode, body.Error)
 	}
@@ -355,7 +333,7 @@ func (rt *Router) ready(ctx context.Context, base string) bool {
 	if err != nil {
 		return false
 	}
-	resp.Body.Close()
+	ethrpc.CloseBody(resp)
 	return resp.StatusCode == http.StatusOK
 }
 
@@ -368,7 +346,7 @@ func (rt *Router) getJSON(ctx context.Context, url string, v any) error {
 	if err != nil {
 		return err
 	}
-	defer resp.Body.Close()
+	defer ethrpc.CloseBody(resp)
 	if resp.StatusCode != http.StatusOK {
 		return fmt.Errorf("status %d", resp.StatusCode)
 	}

@@ -86,3 +86,38 @@ func TestRouterKeepsConnectionAcrossErrorStatuses(t *testing.T) {
 		}
 	}
 }
+
+// TestRollingReloadKeepsConnectionAcrossNotReady pins the same drain on the
+// router's admin helpers: a reload followed by four 503s from /readyz and
+// then a 200 must travel over one TCP connection.
+func TestRollingReloadKeepsConnectionAcrossNotReady(t *testing.T) {
+	var conns, readyz atomic.Int64
+	srv := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch r.URL.Path {
+		case "/admin/reload":
+			httpapi.WriteJSON(w, http.StatusOK, map[string]string{"champion": "v1"})
+		case "/readyz":
+			if readyz.Add(1) <= 4 {
+				http.Error(w, strings.Repeat("loading ", 200), http.StatusServiceUnavailable)
+			}
+		}
+	}))
+	srv.Config.ConnState = func(_ net.Conn, s http.ConnState) {
+		if s == http.StateNew {
+			conns.Add(1)
+		}
+	}
+	srv.Start()
+	t.Cleanup(srv.Close)
+	rt, err := NewRouter(Config{Replicas: []string{srv.URL}, Vnodes: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	steps, err := rt.RollingReload(context.Background())
+	if err != nil || len(steps) != 1 || steps[0].Champion != "v1" {
+		t.Fatalf("RollingReload = (%+v, %v), want one step to champion v1", steps, err)
+	}
+	if readyz.Load() != 5 || conns.Load() != 1 {
+		t.Errorf("reload and %d readiness polls over %d connections, want 5 polls over 1", readyz.Load(), conns.Load())
+	}
+}

@@ -45,8 +45,8 @@ func TestBreakerTripsOnMalformedStreak(t *testing.T) {
 	b, _, bCalls := tornServer(t, inner)
 
 	mc, err := NewMultiClient([]string{a.URL, b.URL},
-		WithMultiRetries(4, time.Millisecond),
-		WithMultiBreaker(3, time.Hour)) // no re-probe within the test
+		WithPlaneRetries(4, time.Millisecond),
+		WithPlaneBreaker(3, time.Hour)) // no re-probe within the test
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,8 +97,8 @@ func TestBreakerHalfOpenReprobe(t *testing.T) {
 
 	cooldown := 20 * time.Millisecond
 	mc, err := NewMultiClient([]string{a.URL, b.URL},
-		WithMultiRetries(4, time.Millisecond),
-		WithMultiBreaker(3, cooldown))
+		WithPlaneRetries(4, time.Millisecond),
+		WithPlaneBreaker(3, cooldown))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,121 +8,32 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/rand"
 	"net/http"
 	"strconv"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"github.com/phishinghook/phishinghook/internal/chain"
 )
 
-// ClientOption configures a Client.
-type ClientOption func(*Client)
-
-// WithHTTPClient substitutes the underlying http.Client (tests inject
-// httptest servers or failing transports).
-func WithHTTPClient(h *http.Client) ClientOption {
-	return func(c *Client) { c.http = h }
-}
-
-// WithRetries sets the number of attempts per call (default 3) and the base
-// backoff between them (default 50ms, doubled each retry with jitter).
-func WithRetries(attempts int, backoff time.Duration) ClientOption {
-	return func(c *Client) {
-		if attempts > 0 {
-			c.attempts = attempts
-		}
-		if backoff > 0 {
-			c.backoff = backoff
-		}
-	}
-}
-
-// WithTimeout caps one HTTP exchange (default 10s). The multi-endpoint fetch
-// plane uses short timeouts so stragglers surface fast enough to hedge.
-func WithTimeout(d time.Duration) ClientOption {
-	return func(c *Client) {
-		if d > 0 {
-			c.http.Timeout = d
-		}
-	}
-}
-
-// RateLimitError is an HTTP 429 from the endpoint. RetryAfter carries the
-// parsed Retry-After header (0 when the server didn't send one); the retry
-// loop honors it instead of guessing a backoff, and the multi-endpoint fetch
-// plane treats it as the congestion signal that halves an endpoint's AIMD
-// concurrency window.
-type RateLimitError struct {
-	RetryAfter time.Duration
-}
-
-func (e *RateLimitError) Error() string {
-	if e.RetryAfter > 0 {
-		return fmt.Sprintf("rate limited (429, retry after %s)", e.RetryAfter)
-	}
-	return "rate limited (429)"
-}
-
-// transientError marks a failure the caller may safely retry against the
-// same or another endpoint (transport faults, 5xx, 429, torn responses).
-// JSON-RPC application errors and malformed-but-authoritative responses are
-// never wrapped: the server has answered.
-type transientError struct{ err error }
-
-func (e *transientError) Error() string { return e.err.Error() }
-func (e *transientError) Unwrap() error { return e.err }
-
-// IsTransient reports whether err is a retryable fault (the classification
-// the MultiClient scheduler keys on).
-func IsTransient(err error) bool {
-	var te *transientError
-	return errors.As(err, &te)
-}
-
-// maxRetryAfterWait caps how long a Retry-After header is honored, so a
-// hostile or broken server cannot park a client for minutes.
-const maxRetryAfterWait = 5 * time.Second
-
-// retryDelay returns the jittered wait before the next attempt: the server's
-// Retry-After when the previous failure was a 429 that carried one
-// (capped), otherwise the caller's exponential backoff.
-func retryDelay(backoff time.Duration, lastErr error) time.Duration {
-	wait := backoff
-	var rl *RateLimitError
-	if errors.As(lastErr, &rl) && rl.RetryAfter > 0 {
-		wait = rl.RetryAfter
-		if wait > maxRetryAfterWait {
-			wait = maxRetryAfterWait
-		}
-	}
-	return wait + time.Duration(rand.Int63n(int64(wait)/2+1))
-}
-
-// Client is a minimal JSON-RPC 2.0 client for the eth_* methods the BEM
-// needs. It is safe for concurrent use.
-type Client struct {
+// client is a minimal JSON-RPC 2.0 client for the eth_* methods the BEM
+// needs. Each call is exactly one HTTP exchange; retries belong to the
+// MultiClient's plane. Request ids number a call's items from 1: every
+// exchange carries its own response, so ids need only be unique within a
+// batch, and a retried call re-sends the same body. It is safe for
+// concurrent use.
+type client struct {
 	endpoint string
 	http     *http.Client
-	attempts int
-	backoff  time.Duration
-	nextID   atomic.Int64
 }
 
-// NewClient returns a client for the given endpoint URL.
-func NewClient(endpoint string, opts ...ClientOption) *Client {
-	c := &Client{
+// newClient returns a client for the given endpoint URL. One exchange is
+// capped at 10s.
+func newClient(endpoint string) *client {
+	return &client{
 		endpoint: endpoint,
 		http:     &http.Client{Timeout: 10 * time.Second, Transport: NewPooledTransport()},
-		attempts: 3,
-		backoff:  50 * time.Millisecond,
 	}
-	for _, opt := range opts {
-		opt(c)
-	}
-	return c
 }
 
 // NewPooledTransport returns a transport sized for one-endpoint fan-out. The
@@ -155,16 +66,15 @@ type wireResponse[T any] struct {
 	Error  *rpcError `json:"error"`
 }
 
-// call performs one JSON-RPC call and decodes its result into T, with retry
-// on transport errors, torn bodies, 429s and 5xx statuses. JSON-RPC
-// application errors are not retried: the server has answered
-// authoritatively.
-func call[T any](ctx context.Context, c *Client, method string, params ...any) (T, error) {
+// call performs one JSON-RPC call and decodes its result into T. A JSON-RPC
+// application error is the server's authoritative answer and is returned
+// as such.
+func call[T any](ctx context.Context, c *client, method string, params ...any) (T, error) {
 	var zero T
 	if params == nil {
 		params = []any{}
 	}
-	reqBody, err := json.Marshal(wireRequest{JSONRPC: "2.0", ID: c.nextID.Add(1), Method: method, Params: params})
+	reqBody, err := json.Marshal(wireRequest{JSONRPC: "2.0", ID: 1, Method: method, Params: params})
 	if err != nil {
 		return zero, fmt.Errorf("ethrpc: marshal request: %w", err)
 	}
@@ -178,42 +88,46 @@ func call[T any](ctx context.Context, c *Client, method string, params ...any) (
 	return resp.Result, nil
 }
 
-// post runs the retry loop around one HTTP exchange and decodes the
-// response body into `into` with one json.Unmarshal. Unmarshal checks the
-// whole document before it writes anything, so a syntax error means a torn
-// body (truncated or garbled in transit) that left `into` untouched: it is
-// retried like a transport fault. Any other decode error is well-formed JSON
-// of the wrong shape, the server's authoritative answer, and is not retried.
-// Retries sleep a jittered exponential backoff, except after a 429 that
-// carried a Retry-After header — the server has named its price, so that
-// wait (capped, jittered) is honored instead.
-func (c *Client) post(ctx context.Context, body []byte, into any) error {
-	var lastErr error
-	backoff := c.backoff
-	for attempt := 0; attempt < c.attempts; attempt++ {
-		if attempt > 0 {
-			select {
-			case <-ctx.Done():
-				return ctx.Err()
-			case <-time.After(retryDelay(backoff, lastErr)):
-			}
-			backoff *= 2
-		}
-		raw, retryable, err := c.once(ctx, body)
-		if err == nil {
-			if err = json.Unmarshal(raw, into); err == nil {
-				return nil
-			}
-			var torn *json.SyntaxError
-			retryable = errors.As(err, &torn)
-			err = fmt.Errorf("decode response: %w", err)
-		}
-		lastErr = err
-		if !retryable {
-			return err
-		}
+// post performs one HTTP exchange and decodes the response body into `into`
+// with one json.Unmarshal. Transport faults, 5xx statuses and 429s (with
+// their Retry-After) are transient. Unmarshal checks the whole document
+// before it writes anything, so a syntax error means a torn body (truncated
+// or garbled in transit) that left `into` untouched: it is transient too.
+// Any other decode error is well-formed JSON of the wrong shape, the
+// server's authoritative answer, and so is any other status.
+func (c *client) post(ctx context.Context, body []byte, into any) error {
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.endpoint, bytes.NewReader(body))
+	if err != nil {
+		return fmt.Errorf("build request: %w", err)
 	}
-	return &transientError{fmt.Errorf("failed after %d attempts: %w", c.attempts, lastErr)}
+	req.Header.Set("Content-Type", "application/json")
+	resp, err := c.http.Do(req)
+	if err != nil {
+		return MarkTransient(fmt.Errorf("transport: %w", err))
+	}
+	defer CloseBody(resp)
+	switch {
+	case resp.StatusCode >= 500:
+		return MarkTransient(fmt.Errorf("server status %d", resp.StatusCode))
+	case resp.StatusCode == http.StatusTooManyRequests:
+		// Rate-limited providers (Infura, Alchemy, …) answer 429 under
+		// burst; surface the Retry-After so the retry loop can honor it.
+		return MarkTransient(&RateLimitError{RetryAfter: parseRetryAfter(resp.Header.Get("Retry-After"))})
+	case resp.StatusCode != http.StatusOK:
+		return fmt.Errorf("unexpected status %d", resp.StatusCode)
+	}
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		return MarkTransient(fmt.Errorf("read response: %w", err))
+	}
+	if err := json.Unmarshal(raw, into); err != nil {
+		var torn *json.SyntaxError
+		if errors.As(err, &torn) {
+			return MarkTransient(fmt.Errorf("decode response: %w", err))
+		}
+		return fmt.Errorf("decode response: %w", err)
+	}
+	return nil
 }
 
 // maxDrainBytes bounds how much of a non-200 body is read and discarded so
@@ -224,42 +138,13 @@ const maxDrainBytes = 64 << 10
 // non-200 status. Closing an unread body makes the transport drop the
 // connection, so a 429 storm would open one TCP connection per retry. A
 // failed drain costs only the connection, so its error is dropped. Every
-// retried HTTP exchange (this client, the scoring cluster's client and
-// router) closes its responses through it.
+// outbound HTTP exchange (this client, the scoring cluster's client and
+// router, the explorer crawler) closes its responses through it.
 func CloseBody(resp *http.Response) {
 	if resp.StatusCode != http.StatusOK {
 		_, _ = io.CopyN(io.Discard, resp.Body, maxDrainBytes)
 	}
 	resp.Body.Close()
-}
-
-func (c *Client) once(ctx context.Context, body []byte) (raw []byte, retryable bool, err error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.endpoint, bytes.NewReader(body))
-	if err != nil {
-		return nil, false, fmt.Errorf("build request: %w", err)
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := c.http.Do(req)
-	if err != nil {
-		return nil, true, fmt.Errorf("transport: %w", err)
-	}
-	defer CloseBody(resp)
-	if resp.StatusCode >= 500 {
-		return nil, true, fmt.Errorf("server status %d", resp.StatusCode)
-	}
-	if resp.StatusCode == http.StatusTooManyRequests {
-		// Rate-limited providers (Infura, Alchemy, …) answer 429 under
-		// burst; surface the Retry-After so the retry loop can honor it.
-		return nil, true, &RateLimitError{RetryAfter: parseRetryAfter(resp.Header.Get("Retry-After"))}
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, false, fmt.Errorf("unexpected status %d", resp.StatusCode)
-	}
-	raw, err = io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, true, fmt.Errorf("read response: %w", err)
-	}
-	return raw, false, nil
 }
 
 // parseRetryAfter reads a Retry-After value in seconds. Fractional seconds
@@ -278,7 +163,7 @@ func parseRetryAfter(v string) time.Duration {
 
 // GetCode fetches the deployed bytecode at addr ("latest" block). A nil,
 // nil return means no code is deployed there (an EOA).
-func (c *Client) GetCode(ctx context.Context, addr chain.Address) ([]byte, error) {
+func (c *client) GetCode(ctx context.Context, addr chain.Address) ([]byte, error) {
 	res, err := call[hexData](ctx, c, "eth_getCode", addr.String(), "latest")
 	if err != nil {
 		return nil, err
@@ -291,15 +176,13 @@ func (c *Client) GetCode(ctx context.Context, addr chain.Address) ([]byte, error
 // exchange across a window's deployments is worth ~an order of magnitude in
 // contracts/sec). Results align with addrs; nil entries are EOAs. One
 // failed item fails the batch.
-func (c *Client) GetCodeBatch(ctx context.Context, addrs []chain.Address) ([][]byte, error) {
+func (c *client) GetCodeBatch(ctx context.Context, addrs []chain.Address) ([][]byte, error) {
 	if len(addrs) == 0 {
 		return nil, nil
 	}
-	n := int64(len(addrs))
-	base := c.nextID.Add(n) - n + 1
 	reqs := make([]wireRequest, len(addrs))
 	for i, a := range addrs {
-		reqs[i] = wireRequest{JSONRPC: "2.0", ID: base + int64(i), Method: "eth_getCode", Params: []any{a.String(), "latest"}}
+		reqs[i] = wireRequest{JSONRPC: "2.0", ID: int64(i) + 1, Method: "eth_getCode", Params: []any{a.String(), "latest"}}
 	}
 	reqBody, err := json.Marshal(reqs)
 	if err != nil {
@@ -309,18 +192,18 @@ func (c *Client) GetCodeBatch(ctx context.Context, addrs []chain.Address) ([][]b
 	if err := c.post(ctx, reqBody, &resps); err != nil {
 		return nil, fmt.Errorf("ethrpc: eth_getCode batch: %w", err)
 	}
-	return codesByID(resps, base, len(addrs))
+	return codesByID(resps, len(addrs))
 }
 
 // codesByID puts a batch of eth_getCode responses into request order (ids
-// base, base+1, …). The spec lets a server reorder a batch, so items are
+// 1, 2, …). The spec lets a server reorder a batch, so items are
 // matched by id: the last duplicate of an id wins and unknown ids are
 // ignored. A missing item, an item-level error or a result that is absent
 // or not hex fails the batch.
-func codesByID(resps []wireResponse[hexData], base int64, n int) ([][]byte, error) {
+func codesByID(resps []wireResponse[hexData], n int) ([][]byte, error) {
 	byID := make([]*wireResponse[hexData], n)
 	for j := range resps {
-		if k := resps[j].ID - base; k >= 0 && k < int64(n) {
+		if k := resps[j].ID - 1; k >= 0 && k < int64(n) {
 			byID[k] = &resps[j]
 		}
 	}
@@ -414,7 +297,7 @@ func decodeHex(s []byte) ([]byte, error) {
 }
 
 // BlockNumber returns the node's head block number.
-func (c *Client) BlockNumber(ctx context.Context) (uint64, error) {
+func (c *client) BlockNumber(ctx context.Context) (uint64, error) {
 	s, err := call[string](ctx, c, "eth_blockNumber")
 	if err != nil {
 		return 0, err
@@ -423,7 +306,7 @@ func (c *Client) BlockNumber(ctx context.Context) (uint64, error) {
 }
 
 // ChainID returns the node's chain identifier.
-func (c *Client) ChainID(ctx context.Context) (uint64, error) {
+func (c *client) ChainID(ctx context.Context) (uint64, error) {
 	s, err := call[string](ctx, c, "eth_chainId")
 	if err != nil {
 		return 0, err

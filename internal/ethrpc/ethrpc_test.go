@@ -33,11 +33,23 @@ func testChain(t *testing.T) *chain.Chain {
 	return c
 }
 
+// retrying returns a one-endpoint MultiClient whose plane makes up to
+// attempts exchanges per call: the retry contract lives there, while the
+// client behind it makes exactly one exchange.
+func retrying(t *testing.T, url string, attempts int, backoff time.Duration) *MultiClient {
+	t.Helper()
+	m, err := NewMultiClient([]string{url}, WithPlaneRetries(attempts, backoff))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
 func TestGetCodeRoundTrip(t *testing.T) {
 	c := testChain(t)
 	srv := httptest.NewServer(NewServer(c, 1))
 	defer srv.Close()
-	client := NewClient(srv.URL)
+	client := newClient(srv.URL)
 	ctx := context.Background()
 
 	for _, ct := range c.All()[:10] {
@@ -55,7 +67,7 @@ func TestGetCodeAbsentAddress(t *testing.T) {
 	c := testChain(t)
 	srv := httptest.NewServer(NewServer(c, 1))
 	defer srv.Close()
-	client := NewClient(srv.URL)
+	client := newClient(srv.URL)
 	code, err := client.GetCode(context.Background(), chain.DeriveAddress(999, 999))
 	if err != nil {
 		t.Fatalf("GetCode absent: %v", err)
@@ -69,7 +81,7 @@ func TestBlockNumberAndChainID(t *testing.T) {
 	c := testChain(t)
 	srv := httptest.NewServer(NewServer(c, 1337))
 	defer srv.Close()
-	client := NewClient(srv.URL)
+	client := newClient(srv.URL)
 	ctx := context.Background()
 
 	bn, err := client.BlockNumber(ctx)
@@ -150,7 +162,7 @@ func TestClientRetriesTransientFailures(t *testing.T) {
 	}))
 	defer flaky.Close()
 
-	client := NewClient(flaky.URL, WithRetries(4, time.Millisecond))
+	client := retrying(t, flaky.URL, 4, time.Millisecond)
 	if _, err := client.BlockNumber(context.Background()); err != nil {
 		t.Fatalf("BlockNumber through flaky server: %v", err)
 	}
@@ -167,7 +179,7 @@ func TestClientDoesNotRetryRPCErrors(t *testing.T) {
 		_, _ = w.Write([]byte(`{"jsonrpc":"2.0","id":1,"error":{"code":-32601,"message":"nope"}}`))
 	}))
 	defer srv.Close()
-	client := NewClient(srv.URL, WithRetries(5, time.Millisecond))
+	client := retrying(t, srv.URL, 5, time.Millisecond)
 	if _, err := client.BlockNumber(context.Background()); err == nil {
 		t.Fatal("expected error")
 	}
@@ -181,7 +193,8 @@ func TestClientHonorsContextCancellation(t *testing.T) {
 		time.Sleep(200 * time.Millisecond)
 	}))
 	defer srv.Close()
-	client := NewClient(srv.URL, WithHTTPClient(&http.Client{}))
+	client := newClient(srv.URL)
+	client.http = &http.Client{}
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
 	start := time.Now()
@@ -199,7 +212,7 @@ func TestClientMalformedResponse(t *testing.T) {
 		_, _ = w.Write([]byte("{truncated"))
 	}))
 	defer srv.Close()
-	client := NewClient(srv.URL, WithRetries(2, time.Millisecond))
+	client := newClient(srv.URL)
 	if _, err := client.BlockNumber(context.Background()); err == nil {
 		t.Fatal("expected decode error")
 	}
@@ -210,7 +223,7 @@ func TestRequestCounter(t *testing.T) {
 	s := NewServer(c, 1)
 	srv := httptest.NewServer(s)
 	defer srv.Close()
-	client := NewClient(srv.URL)
+	client := newClient(srv.URL)
 	for i := 0; i < 5; i++ {
 		if _, err := client.BlockNumber(context.Background()); err != nil {
 			t.Fatal(err)
@@ -237,7 +250,7 @@ func TestClientRetriesThrough429(t *testing.T) {
 	}))
 	defer limited.Close()
 
-	client := NewClient(limited.URL, WithRetries(4, time.Millisecond))
+	client := retrying(t, limited.URL, 4, time.Millisecond)
 	id, err := client.ChainID(context.Background())
 	if err != nil {
 		t.Fatalf("ChainID through 429s: %v", err)
@@ -269,7 +282,7 @@ func TestClientHonorsRetryAfter(t *testing.T) {
 
 	// Base backoff of 1ms: without honoring Retry-After the retry would land
 	// almost immediately.
-	client := NewClient(limited.URL, WithRetries(3, time.Millisecond))
+	client := retrying(t, limited.URL, 3, time.Millisecond)
 	t0 := time.Now()
 	if _, err := client.ChainID(context.Background()); err != nil {
 		t.Fatalf("ChainID: %v", err)
@@ -291,7 +304,7 @@ func TestServerRateLimitEndToEnd(t *testing.T) {
 	srv := httptest.NewServer(s)
 	defer srv.Close()
 
-	client := NewClient(srv.URL, WithRetries(5, time.Millisecond))
+	client := retrying(t, srv.URL, 5, time.Millisecond)
 	ctx := context.Background()
 	all := c.All()
 	addrs := make([]chain.Address, 0, 30)
@@ -330,7 +343,7 @@ func TestClient429ExhaustsRetries(t *testing.T) {
 		http.Error(w, "rate limited", http.StatusTooManyRequests)
 	}))
 	defer srv.Close()
-	client := NewClient(srv.URL, WithRetries(3, time.Millisecond))
+	client := retrying(t, srv.URL, 3, time.Millisecond)
 	if _, err := client.BlockNumber(context.Background()); err == nil {
 		t.Fatal("expected error after exhausting retries")
 	}
@@ -357,7 +370,7 @@ func TestHexQuantityParsing(t *testing.T) {
 			w.Header().Set("Content-Type", "application/json")
 			_, _ = w.Write([]byte(`{"jsonrpc":"2.0","id":1,"result":` + tc.result + `}`))
 		}))
-		client := NewClient(srv.URL, WithRetries(1, time.Millisecond))
+		client := newClient(srv.URL)
 		bn, err := client.BlockNumber(context.Background())
 		if tc.wantErr && err == nil {
 			t.Errorf("%s: BlockNumber(%s) = %d, want error", tc.name, tc.result, bn)
@@ -381,7 +394,7 @@ func TestGetCodeBatchRoundTrip(t *testing.T) {
 	s := NewServer(c, 1)
 	srv := httptest.NewServer(s)
 	defer srv.Close()
-	client := NewClient(srv.URL)
+	client := newClient(srv.URL)
 
 	all := c.All()
 	addrs := make([]chain.Address, 0, 12)
@@ -419,7 +432,7 @@ func TestBatchItemErrorFailsBatch(t *testing.T) {
 		_, _ = w.Write([]byte(`[{"jsonrpc":"2.0","id":1,"result":"0x60"},{"jsonrpc":"2.0","id":2,"error":{"code":-32602,"message":"bad address"}}]`))
 	}))
 	defer srv.Close()
-	client := NewClient(srv.URL, WithRetries(1, time.Millisecond))
+	client := newClient(srv.URL)
 	_, err := client.GetCodeBatch(context.Background(),
 		[]chain.Address{chain.DeriveAddress(1, 1), chain.DeriveAddress(1, 2)})
 	if err == nil {
@@ -459,7 +472,7 @@ func TestClientRetriesTornBodyWithoutStaleFields(t *testing.T) {
 		srv, calls := scriptedServer(t,
 			`{"jsonrpc":"2.0","id":1,"error":{"code":-32000,"message":"stale"},"result":"0x60`,
 			`{"jsonrpc":"2.0","id":1,"result":"0x"}`)
-		client := NewClient(srv.URL, WithRetries(3, time.Millisecond))
+		client := retrying(t, srv.URL, 3, time.Millisecond)
 		code, err := client.GetCode(ctx, chain.DeriveAddress(1, 1))
 		if err != nil || code != nil {
 			t.Fatalf("GetCode = (%x, %v), want the good body's EOA", code, err)
@@ -472,7 +485,7 @@ func TestClientRetriesTornBodyWithoutStaleFields(t *testing.T) {
 		srv, calls := scriptedServer(t,
 			`[{"jsonrpc":"2.0","id":1,"error":{"code":-32000,"message":"stale"}},{"jsonrpc":"2.0","id":2,"result":"0x6001"},{"id":`,
 			`[{"jsonrpc":"2.0","id":2,"result":"0x"},{"jsonrpc":"2.0","id":1,"result":"0x60"}]`)
-		client := NewClient(srv.URL, WithRetries(3, time.Millisecond))
+		client := retrying(t, srv.URL, 3, time.Millisecond)
 		codes, err := client.GetCodeBatch(ctx, []chain.Address{chain.DeriveAddress(1, 1), chain.DeriveAddress(1, 2)})
 		if err != nil {
 			t.Fatalf("GetCodeBatch: %v", err)
@@ -500,7 +513,7 @@ func TestClientDoesNotRetryAuthoritativeAnswers(t *testing.T) {
 		{"item without result or error", `[{"jsonrpc":"2.0","id":1,"result":"0x60"},{"jsonrpc":"2.0","id":2}]`},
 	} {
 		srv, calls := scriptedServer(t, tc.body)
-		client := NewClient(srv.URL, WithRetries(3, time.Millisecond))
+		client := retrying(t, srv.URL, 3, time.Millisecond)
 		codes, err := client.GetCodeBatch(context.Background(), addrs)
 		if err == nil || codes != nil {
 			t.Errorf("%s: GetCodeBatch = (%x, %v), want no codes and an error", tc.name, codes, err)
@@ -514,7 +527,7 @@ func TestClientDoesNotRetryAuthoritativeAnswers(t *testing.T) {
 	}
 
 	srv, calls := scriptedServer(t, `{"jsonrpc":"2.0","id":1,"result":42}`)
-	client := NewClient(srv.URL, WithRetries(3, time.Millisecond))
+	client := retrying(t, srv.URL, 3, time.Millisecond)
 	if _, err := client.BlockNumber(context.Background()); err == nil || IsTransient(err) || calls.Load() != 1 {
 		t.Errorf("numeric eth_blockNumber result: err=%v after %d requests, want one authoritative failure", err, calls.Load())
 	}
@@ -540,7 +553,7 @@ func TestClientKeepsConnectionAcrossErrorStatuses(t *testing.T) {
 			}
 		}
 		srv.Start()
-		client := NewClient(srv.URL, WithRetries(5, 2*time.Millisecond))
+		client := retrying(t, srv.URL, 5, 2*time.Millisecond)
 		bn, err := client.BlockNumber(context.Background())
 		srv.Close()
 		if err != nil || bn != 42 {
@@ -576,7 +589,7 @@ func decodeCodeBatch(body []byte, n int) ([][]byte, error) {
 	if err := json.Unmarshal(body, &resps); err != nil {
 		return nil, err
 	}
-	return codesByID(resps, 1, n)
+	return codesByID(resps, n)
 }
 
 // TestGetCodeBatchDecodeAllocs pins the decode's allocation budget: one
@@ -720,8 +733,8 @@ func FuzzGetCodeBatchDecode(f *testing.F) {
 		if k == 0 {
 			k = len(addrs)
 		}
-		client := NewClient("http://node.invalid", WithRetries(1, time.Millisecond),
-			WithHTTPClient(&http.Client{Transport: bodyTransport(body)}))
+		client := newClient("http://node.invalid")
+		client.http = &http.Client{Transport: bodyTransport(body)}
 		got, err := client.GetCodeBatch(context.Background(), addrs[:k])
 		want, ok := oracleCodes(body, k)
 		if (err == nil) != ok {

@@ -17,73 +17,14 @@ import (
 // API key caps out at its quota, N endpoints give N× the fetch ceiling, and
 // AIMD finds each endpoint's sustainable concurrency without configuration.
 //
-// With a single endpoint the MultiClient is a byte-identical passthrough to
-// a plain Client (same retry policy, same timing, same errors): the plane
-// only changes behavior when there is actually a plane.
+// One endpoint runs through the same plane as N: it keeps its AIMD window,
+// health, breaker and retries, and, having nowhere to rotate to, waits out
+// a 429's Retry-After.
 //
 // Safe for concurrent use.
 type MultiClient struct {
 	plane   *Plane
-	clients []*Client // clients[i] backs plane node i
-	single  *Client   // set when len(clients) == 1: verbatim Client semantics
-}
-
-// MultiOption configures a MultiClient.
-type MultiOption func(*multiConfig)
-
-type multiConfig struct {
-	attempts        int
-	backoff         time.Duration
-	hedge           time.Duration
-	maxLimit        int
-	breakerStreak   int
-	breakerCooldown time.Duration
-	breakerSet      bool
-}
-
-// WithMultiRetries sets plane-level attempts per call (default 4) and the
-// base backoff between them (default 50ms, doubled with jitter; a 429's
-// Retry-After is honored instead when present). Each attempt may land on a
-// different endpoint.
-func WithMultiRetries(attempts int, backoff time.Duration) MultiOption {
-	return func(c *multiConfig) {
-		if attempts > 0 {
-			c.attempts = attempts
-		}
-		if backoff > 0 {
-			c.backoff = backoff
-		}
-	}
-}
-
-// WithHedge re-issues a request on a second endpoint when the first hasn't
-// answered within delay, taking whichever result lands first — the classic
-// tail-at-scale defense against one slow node. 0 (the default) disables
-// hedging.
-func WithHedge(delay time.Duration) MultiOption {
-	return func(c *multiConfig) { c.hedge = delay }
-}
-
-// WithMaxConcurrency caps each endpoint's AIMD window (default 64).
-func WithMaxConcurrency(n int) MultiOption {
-	return func(c *multiConfig) {
-		if n > 0 {
-			c.maxLimit = n
-		}
-	}
-}
-
-// WithMultiBreaker tunes the per-endpoint circuit breaker: streak 0 keeps
-// the default of 8 consecutive hard failures, negative disables; cooldown 0
-// keeps the 2s default. Chaos soaks shrink the cooldown toward the polling
-// interval so recovery after a full blackout is bounded by polls, not by
-// the breaker's re-probe timer.
-func WithMultiBreaker(streak int, cooldown time.Duration) MultiOption {
-	return func(c *multiConfig) {
-		c.breakerStreak = streak
-		c.breakerCooldown = cooldown
-		c.breakerSet = true
-	}
+	clients []*client // clients[i] backs plane node i
 }
 
 // aimdInitialLimit is where every node's window starts: low enough to probe
@@ -99,41 +40,20 @@ const aimdHalveCooldown = 50 * time.Millisecond
 // healthGain is the EWMA step for the per-node health score.
 const healthGain = 0.1
 
-// NewMultiClient builds a fetch plane over the given endpoint URLs.
-func NewMultiClient(endpoints []string, opts ...MultiOption) (*MultiClient, error) {
-	cfg := multiConfig{attempts: 4, backoff: 50 * time.Millisecond}
-	for _, opt := range opts {
-		opt(&cfg)
+// NewMultiClient builds a fetch plane over the given endpoint URLs. Given
+// exactly one, it turns on WithPlaneRetryAfter: a lone endpoint has nowhere
+// to rotate to.
+func NewMultiClient(endpoints []string, opts ...PlaneOption) (*MultiClient, error) {
+	if len(endpoints) == 1 {
+		opts = append([]PlaneOption{WithPlaneRetryAfter()}, opts...)
 	}
-	planeOpts := []PlaneOption{WithPlaneRetries(cfg.attempts, cfg.backoff), WithPlaneHedge(cfg.hedge)}
-	if cfg.maxLimit > 0 {
-		planeOpts = append(planeOpts, WithPlaneMaxConcurrency(cfg.maxLimit))
-	}
-	if cfg.breakerSet {
-		streak := cfg.breakerStreak
-		if streak == 0 {
-			streak = 8
-		}
-		planeOpts = append(planeOpts, WithPlaneBreaker(streak, cfg.breakerCooldown))
-	}
-	plane, err := NewPlane(endpoints, planeOpts...)
+	plane, err := NewPlane(endpoints, opts...)
 	if err != nil {
 		return nil, err
 	}
 	m := &MultiClient{plane: plane}
-	if len(endpoints) == 1 {
-		// Byte-identical single-endpoint mode: the plain Client owns retry,
-		// backoff and timeout exactly as before the plane existed; the lone
-		// node only keeps outcome counters.
-		m.single = NewClient(endpoints[0])
-		m.clients = []*Client{m.single}
-		return m, nil
-	}
 	for _, url := range endpoints {
-		// One attempt per exchange: the plane owns retries so a failure can
-		// rotate to a different endpoint instead of hammering the same one,
-		// and so AIMD sees every congestion signal.
-		m.clients = append(m.clients, NewClient(url, WithRetries(1, cfg.backoff)))
+		m.clients = append(m.clients, newClient(url))
 	}
 	return m, nil
 }
@@ -142,19 +62,11 @@ func NewMultiClient(endpoints []string, opts ...MultiOption) (*MultiClient, erro
 func (m *MultiClient) Endpoints() int { return len(m.clients) }
 
 // Stats snapshots every endpoint.
-func (m *MultiClient) Stats() []EndpointStats {
-	out := m.plane.Stats()
-	if m.single != nil {
-		for i := range out {
-			out[i].Limit = 0 // uncapped: the plain client has no window
-		}
-	}
-	return out
-}
+func (m *MultiClient) Stats() []EndpointStats { return m.plane.Stats() }
 
 // GetCode fetches deployed bytecode at addr ("latest").
 func (m *MultiClient) GetCode(ctx context.Context, addr chain.Address) ([]byte, error) {
-	return multiDo(ctx, m, func(ctx context.Context, c *Client) ([]byte, error) {
+	return multiDo(ctx, m, func(ctx context.Context, c *client) ([]byte, error) {
 		return c.GetCode(ctx, addr)
 	})
 }
@@ -165,7 +77,7 @@ func (m *MultiClient) GetCodeBatch(ctx context.Context, addrs []chain.Address) (
 	if len(addrs) == 0 {
 		return nil, nil
 	}
-	return multiDo(ctx, m, func(ctx context.Context, c *Client) ([][]byte, error) {
+	return multiDo(ctx, m, func(ctx context.Context, c *client) ([][]byte, error) {
 		return c.GetCodeBatch(ctx, addrs)
 	})
 }
@@ -173,33 +85,20 @@ func (m *MultiClient) GetCodeBatch(ctx context.Context, addrs []chain.Address) (
 // BlockNumber returns the head block (as reported by whichever endpoint the
 // scheduler picked — the plane assumes all endpoints serve the same chain).
 func (m *MultiClient) BlockNumber(ctx context.Context) (uint64, error) {
-	return multiDo(ctx, m, func(ctx context.Context, c *Client) (uint64, error) {
+	return multiDo(ctx, m, func(ctx context.Context, c *client) (uint64, error) {
 		return c.BlockNumber(ctx)
 	})
 }
 
 // ChainID returns the chain identifier.
 func (m *MultiClient) ChainID(ctx context.Context) (uint64, error) {
-	return multiDo(ctx, m, func(ctx context.Context, c *Client) (uint64, error) {
+	return multiDo(ctx, m, func(ctx context.Context, c *client) (uint64, error) {
 		return c.ChainID(ctx)
 	})
 }
 
-// multiDo dispatches one call: the single-endpoint passthrough, or the
-// plane-level scheduled/hedged/retried exchange. The plane deliberately
-// ignores Retry-After between its attempts: that header is one endpoint's
-// directive, and the next attempt rotates to a different endpoint with
-// spare capacity — stalling the whole call for a stormed endpoint's penalty
-// would idle the healthy rest of the plane. The stormed endpoint itself is
-// held back by its halved AIMD window and decayed health score instead.
-func multiDo[T any](ctx context.Context, m *MultiClient, fn func(context.Context, *Client) (T, error)) (T, error) {
-	if m.single != nil {
-		n := m.plane.Nodes()[0]
-		n.requests.Add(1)
-		v, err := fn(ctx, m.single)
-		n.CountOutcome(err)
-		return v, err
-	}
+// multiDo runs one call through the plane: scheduled, hedged and retried.
+func multiDo[T any](ctx context.Context, m *MultiClient, fn func(context.Context, *client) (T, error)) (T, error) {
 	return PlaneDo(ctx, m.plane, nil, func(ctx context.Context, n *Node) (T, error) {
 		return fn(ctx, m.clients[n.Index()])
 	})

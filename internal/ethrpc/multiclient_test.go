@@ -26,11 +26,10 @@ func batchAddrs(c *chain.Chain, n int) []chain.Address {
 	return addrs
 }
 
-// TestMultiClientSingleEndpointIdentical pins the compatibility contract:
-// with one endpoint the plane is a passthrough to a plain Client — same
-// results, same retry policy (it still absorbs transient faults the way the
-// bare client does).
-func TestMultiClientSingleEndpointIdentical(t *testing.T) {
+// TestMultiClientSingleEndpointRunsPlane pins one endpoint onto the plane:
+// it absorbs transient faults through the plane's retries and reports the
+// AIMD window like any plane node.
+func TestMultiClientSingleEndpointRunsPlane(t *testing.T) {
 	c := testChain(t)
 	inner := NewServer(c, 1)
 	var calls atomic.Int64
@@ -61,14 +60,14 @@ func TestMultiClientSingleEndpointIdentical(t *testing.T) {
 			t.Fatalf("item %d: %d bytes, want %d", i, len(codes[i]), len(ct.Code))
 		}
 	}
-	// The plain client retries twice before succeeding — the single-endpoint
-	// plane must have done exactly the same.
+	// Two 500s and a success, all on the lone endpoint.
 	if calls.Load() != 3 {
 		t.Errorf("server saw %d calls, want 3 (2 failures + success)", calls.Load())
 	}
+	// 500s leave the window alone; the success grows it by 1/limit.
 	s := mc.Stats()
-	if len(s) != 1 || s[0].Successes != 1 || s[0].Limit != 0 {
-		t.Errorf("single-endpoint stats off: %+v", s)
+	if want := aimdInitialLimit + 1.0/aimdInitialLimit; len(s) != 1 || s[0].Successes != 1 || s[0].Limit != want {
+		t.Errorf("single-endpoint stats off: %+v, want 1 success and window %.2f", s, want)
 	}
 }
 
@@ -141,7 +140,7 @@ func TestMultiClientAIMDUnder429Storm(t *testing.T) {
 		stormed = append(stormed, srv.URL)
 	}
 	mc, err := NewMultiClient(append(stormed, healthy.URL),
-		WithMultiRetries(8, time.Millisecond), WithMaxConcurrency(16))
+		WithPlaneRetries(8, time.Millisecond), WithPlaneMaxConcurrency(16))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +217,7 @@ func TestMultiClientHedgeRescuesStraggler(t *testing.T) {
 	}))
 	defer slow.Close()
 
-	mc, err := NewMultiClient([]string{slow.URL, fast.URL}, WithHedge(30*time.Millisecond))
+	mc, err := NewMultiClient([]string{slow.URL, fast.URL}, WithPlaneHedge(30*time.Millisecond))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +256,7 @@ func TestMultiClientFailsOverFromDeadEndpoint(t *testing.T) {
 	deadURL := dead.URL
 	dead.Close() // nothing listens here anymore
 
-	mc, err := NewMultiClient([]string{deadURL, alive.URL}, WithMultiRetries(4, time.Millisecond))
+	mc, err := NewMultiClient([]string{deadURL, alive.URL}, WithPlaneRetries(4, time.Millisecond))
 	if err != nil {
 		t.Fatal(err)
 	}

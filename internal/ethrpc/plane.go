@@ -21,7 +21,7 @@ type EndpointStats struct {
 	Timeouts    uint64  `json:"timeouts"`
 	Failures    uint64  `json:"failures"`
 	Hedges      uint64  `json:"hedges"`
-	Limit       float64 `json:"limit"`    // current AIMD window (0 = uncapped single-endpoint mode)
+	Limit       float64 `json:"limit"`    // current AIMD window
 	Inflight    int     `json:"inflight"` // calls currently charged against the window
 	Health      float64 `json:"health"`   // success EWMA
 	// BreakerTrips counts hard circuit-breaker openings (malformed-response
@@ -35,7 +35,7 @@ type EndpointStats struct {
 // surface in the system: per-node AIMD concurrency windows (grow additively
 // on success, halve on 429/timeout), a health EWMA steering each unit of
 // work toward the node most likely to answer, hedged re-issue of
-// stragglers, and a plane-level retry loop that rotates nodes on transient
+// stragglers, and retries (through Retry) that rotate nodes on transient
 // faults. MultiClient schedules JSON-RPC exchanges through it; the scoring
 // cluster router schedules HTTP /score calls across replicas through the
 // same machinery — a "node" is just a name plus scheduler state, and the
@@ -44,11 +44,9 @@ type EndpointStats struct {
 // Safe for concurrent use.
 type Plane struct {
 	nodes           []*Node
-	attempts        int
-	backoff         time.Duration
+	retry           RetryPolicy
 	hedge           time.Duration
 	maxLimit        float64
-	honorRetryAfter bool
 	ownerBonus      float64
 	breakerStreak   int
 	breakerCooldown time.Duration
@@ -93,7 +91,7 @@ func (n *Node) Name() string { return n.name }
 
 // Index returns the node's position in the plane's construction order — the
 // stable key callers use to map a node back onto their own per-upstream
-// state (a *Client, an admin URL).
+// state (a JSON-RPC client, an admin URL).
 func (n *Node) Index() int { return n.index }
 
 // breakerBlockedLocked reports whether the breaker excludes the node from
@@ -109,11 +107,6 @@ func (n *Node) breakerBlockedLocked(now time.Time) bool {
 	return n.inflight > 0
 }
 
-// CountOutcome records err against the node's outcome counters without
-// touching the scheduler (no window, no health, no slot release) — the
-// accounting path for passthrough modes that bypass Acquire/Finish.
-func (n *Node) CountOutcome(err error) { countOutcome(n, err) }
-
 // PlaneOption configures a Plane.
 type PlaneOption func(*Plane)
 
@@ -123,10 +116,10 @@ type PlaneOption func(*Plane)
 func WithPlaneRetries(attempts int, backoff time.Duration) PlaneOption {
 	return func(p *Plane) {
 		if attempts > 0 {
-			p.attempts = attempts
+			p.retry.Attempts = attempts
 		}
 		if backoff > 0 {
-			p.backoff = backoff
+			p.retry.Backoff = backoff
 		}
 	}
 }
@@ -149,23 +142,29 @@ func WithPlaneMaxConcurrency(n int) PlaneOption {
 
 // WithPlaneRetryAfter honors a 429's Retry-After (capped, jittered) as the
 // wait before the next attempt instead of the plain exponential backoff.
-// The MultiClient deliberately leaves this off — its next attempt rotates to
-// a different endpoint, so stalling the call for one stormed endpoint's
-// penalty would idle the healthy rest of the plane — but the cluster router
-// wants it on: within a small hash neighborhood the retry often has nowhere
-// else to go, and the replica has named its price.
+// Over several endpoints the MultiClient leaves this off — its next attempt
+// rotates to a different endpoint, so stalling the call for one stormed
+// endpoint's penalty would idle the healthy rest of the plane — but a lone
+// endpoint and the cluster router want it on: the retry has nowhere (or,
+// within a small hash neighborhood, often nowhere) else to go, and the
+// server has named its price.
 func WithPlaneRetryAfter() PlaneOption {
-	return func(p *Plane) { p.honorRetryAfter = true }
+	return func(p *Plane) { p.retry.RetryAfter = true }
 }
 
 // WithPlaneBreaker tunes the per-node circuit breaker: streak consecutive
 // hard failures (malformed responses, refused connections — the faults AIMD
 // never halves on) trip the node out of scheduling for cooldown, after which
-// one half-open probe decides whether it rejoins. streak <= 0 disables the
-// breaker. The default is 8 failures / 2s.
+// one half-open probe decides whether it rejoins. The default is 8 failures
+// / 2s: streak 0 and cooldown 0 keep it, a negative streak disables the
+// breaker. Chaos soaks shrink the cooldown toward the polling interval so
+// recovery after a full blackout is bounded by polls, not by the breaker's
+// re-probe timer.
 func WithPlaneBreaker(streak int, cooldown time.Duration) PlaneOption {
 	return func(p *Plane) {
-		p.breakerStreak = streak
+		if streak != 0 {
+			p.breakerStreak = streak
+		}
 		if cooldown > 0 {
 			p.breakerCooldown = cooldown
 		}
@@ -190,8 +189,7 @@ func NewPlane(names []string, opts ...PlaneOption) (*Plane, error) {
 		return nil, fmt.Errorf("ethrpc: Plane needs at least one node")
 	}
 	p := &Plane{
-		attempts:        4,
-		backoff:         50 * time.Millisecond,
+		retry:           RetryPolicy{Attempts: 4, Backoff: 50 * time.Millisecond},
 		maxLimit:        64,
 		breakerStreak:   8,
 		breakerCooldown: 2 * time.Second,
@@ -241,26 +239,6 @@ func (p *Plane) Stats() []EndpointStats {
 	return out
 }
 
-// MarkTransient wraps err as a retryable fault — the classification the
-// plane's retry loop rotates nodes on. Callers supplying their own exchange
-// (the cluster router's HTTP client) use it to tag transport faults, 5xx
-// statuses and torn responses the way the JSON-RPC client does internally.
-func MarkTransient(err error) error {
-	if err == nil {
-		return nil
-	}
-	return &transientError{err}
-}
-
-// RetryDelay returns the jittered wait before a retry: the server's
-// Retry-After when lastErr is a 429 that carried one (capped at 5s),
-// otherwise the given exponential backoff. Exported for schedulers built
-// outside this package (the cluster score client) so every retry loop in
-// the system honors Retry-After identically.
-func RetryDelay(backoff time.Duration, lastErr error) time.Duration {
-	return retryDelay(backoff, lastErr)
-}
-
 // ParseRetryAfter reads a Retry-After header value in (possibly fractional)
 // seconds; HTTP-date forms and garbage parse as 0, i.e. "not stated".
 func ParseRetryAfter(v string) time.Duration { return parseRetryAfter(v) }
@@ -268,48 +246,23 @@ func ParseRetryAfter(v string) time.Duration { return parseRetryAfter(v) }
 // PlaneDo runs one unit of work through the plane: acquire a node slot
 // (restricted to the `within` candidates when non-nil; nil means any node),
 // run fn against it (hedged on a second candidate when configured), feed
-// the outcome back into AIMD/health, and on a transient failure rotate to
-// another candidate after a backoff. When the plane was built with owner
-// affinity, within[0] is preferred as the candidate holding the key's
-// cache line.
+// the outcome back into AIMD/health, and on a transient failure let Retry
+// try again after a backoff, preferring another candidate. When the plane
+// was built with owner affinity, within[0] is preferred as the candidate
+// holding the key's cache line.
 func PlaneDo[T any](ctx context.Context, p *Plane, within []*Node, fn func(context.Context, *Node) (T, error)) (T, error) {
-	var zero T
-	var lastErr error
-	backoff := p.backoff
-	var avoid *Node
-	for attempt := 0; attempt < p.attempts; attempt++ {
-		if attempt > 0 {
-			var hint error
-			if p.honorRetryAfter {
-				hint = lastErr
-			}
-			select {
-			case <-ctx.Done():
-				return zero, ctx.Err()
-			case <-time.After(retryDelay(backoff, hint)):
-			}
-			backoff *= 2
-		}
+	var avoid *Node // the node that just failed this unit of work
+	return Retry(ctx, p.retry, func() (T, error) {
 		v, n, err := planeTry(ctx, p, within, fn, avoid)
-		if err == nil {
-			return v, nil
-		}
-		if ctx.Err() != nil {
-			return zero, ctx.Err()
-		}
-		if !IsTransient(err) {
-			return zero, err
-		}
-		lastErr = err
-		avoid = n // prefer a different node next attempt
-	}
-	return zero, fmt.Errorf("ethrpc: all nodes failed after %d attempts: %w", p.attempts, lastErr)
+		avoid = n
+		return v, err
+	})
 }
 
 // planeTry runs one scheduled exchange, hedging a straggler when enabled.
 func planeTry[T any](ctx context.Context, p *Plane, within []*Node, fn func(context.Context, *Node) (T, error), avoid *Node) (T, *Node, error) {
 	var zero T
-	primary, err := p.Acquire(ctx, within, avoid)
+	primary, err := p.acquire(ctx, within, avoid)
 	if err != nil {
 		return zero, nil, err
 	}
@@ -343,7 +296,7 @@ func planeTry[T any](ctx context.Context, p *Plane, within []*Node, fn func(cont
 		// The primary is a straggler: race a backup on a different node if
 		// one has spare capacity right now (never block waiting for it — a
 		// hedge is opportunistic).
-		if backup, ok := p.TryAcquire(within, primary); ok {
+		if backup, ok := p.tryAcquire(within, primary); ok {
 			backup.hedges.Add(1)
 			launch(backup)
 			launched++
@@ -367,7 +320,7 @@ func planeTry[T any](ctx context.Context, p *Plane, within []*Node, fn func(cont
 func planeExchange[T any](ctx context.Context, p *Plane, n *Node, fn func(context.Context, *Node) (T, error)) (T, error) {
 	n.requests.Add(1)
 	v, err := fn(ctx, n)
-	p.Finish(n, err)
+	p.finish(n, err)
 	return v, err
 }
 
@@ -400,36 +353,18 @@ func classify(err error) int {
 	return classFailure
 }
 
-// countOutcome updates a node's outcome counters (all modes).
-func countOutcome(n *Node, err error) int {
-	class := classify(err)
-	switch class {
-	case classOK:
-		n.successes.Add(1)
-	case classCongestion:
-		if errors.Is(err, context.DeadlineExceeded) || !isRateLimit(err) {
-			n.timeouts.Add(1)
-		} else {
-			n.rateLimited.Add(1)
-		}
-	case classFailure:
-		n.failures.Add(1)
-	}
-	return class
-}
-
 func isRateLimit(err error) bool {
 	var rl *RateLimitError
 	return errors.As(err, &rl)
 }
 
-// Finish applies one outcome to the node's AIMD window and health, then
-// releases the concurrency slot.
-func (p *Plane) Finish(n *Node, err error) {
-	class := countOutcome(n, err)
+// finish counts one outcome, applies it to the node's AIMD window, health
+// and breaker, then releases the concurrency slot.
+func (p *Plane) finish(n *Node, err error) {
 	p.mu.Lock()
-	switch class {
+	switch classify(err) {
 	case classOK:
+		n.successes.Add(1)
 		// Additive increase: ~+1 to the window per windowful of successes.
 		n.limit += 1 / n.limit
 		if n.limit > p.maxLimit {
@@ -441,6 +376,11 @@ func (p *Plane) Finish(n *Node, err error) {
 		n.failStreak = 0
 		n.breakerUntil = time.Time{}
 	case classCongestion:
+		if errors.Is(err, context.DeadlineExceeded) || !isRateLimit(err) {
+			n.timeouts.Add(1)
+		} else {
+			n.rateLimited.Add(1)
+		}
 		// Multiplicative decrease, once per congestion event. 429/timeout is
 		// AIMD's domain, not the breaker's: a throttled node is alive.
 		if time.Since(n.lastHalve) >= aimdHalveCooldown {
@@ -452,6 +392,7 @@ func (p *Plane) Finish(n *Node, err error) {
 		}
 		n.health *= 1 - healthGain
 	case classFailure:
+		n.failures.Add(1)
 		n.health *= 1 - healthGain
 		n.failStreak++
 		if p.breakerStreak > 0 && n.failStreak >= p.breakerStreak {
@@ -473,7 +414,7 @@ func (p *Plane) Finish(n *Node, err error) {
 	p.mu.Unlock()
 }
 
-// wakeLocked rouses Acquire() waiters after capacity was freed or grown.
+// wakeLocked rouses acquire() waiters after capacity was freed or grown.
 func (p *Plane) wakeLocked() {
 	if p.waiters == 0 {
 		return
@@ -482,9 +423,9 @@ func (p *Plane) wakeLocked() {
 	p.waitCh = make(chan struct{})
 }
 
-// Acquire blocks until some candidate has AIMD capacity and charges a slot,
+// acquire blocks until some candidate has AIMD capacity and charges a slot,
 // preferring healthy nodes and, when possible, one other than avoid.
-func (p *Plane) Acquire(ctx context.Context, within []*Node, avoid *Node) (*Node, error) {
+func (p *Plane) acquire(ctx context.Context, within []*Node, avoid *Node) (*Node, error) {
 	p.mu.Lock()
 	for {
 		n := p.pickLocked(within, avoid)
@@ -543,9 +484,9 @@ func (p *Plane) soonestReopenLocked(within []*Node) (time.Time, bool) {
 	return soonest, !soonest.IsZero()
 }
 
-// TryAcquire charges a slot on the best candidate other than avoid without
+// tryAcquire charges a slot on the best candidate other than avoid without
 // blocking; ok=false when nothing has spare capacity.
-func (p *Plane) TryAcquire(within []*Node, avoid *Node) (*Node, bool) {
+func (p *Plane) tryAcquire(within []*Node, avoid *Node) (*Node, bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	n := p.pickLocked(within, avoid)

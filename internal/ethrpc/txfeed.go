@@ -78,7 +78,7 @@ func filterError(err error) error {
 // NewPendingTxFilter installs a pending-transaction filter starting at
 // fromBlock and returns its ID. Filters are per-node server state: after a
 // failover the ID is worthless and must be reinstalled.
-func (c *Client) NewPendingTxFilter(ctx context.Context, fromBlock uint64) (string, error) {
+func (c *client) NewPendingTxFilter(ctx context.Context, fromBlock uint64) (string, error) {
 	return call[string](ctx, c, "eth_newPendingTransactionFilter", hexUint(fromBlock))
 }
 
@@ -86,7 +86,7 @@ func (c *Client) NewPendingTxFilter(ctx context.Context, fromBlock uint64) (stri
 // objects, up to the server's per-poll cap). One poll costs one rate-limit
 // token however many txs it returns. A forgotten filter surfaces as
 // ErrFilterNotFound.
-func (c *Client) TxFilterChanges(ctx context.Context, id string) ([]PendingTx, error) {
+func (c *client) TxFilterChanges(ctx context.Context, id string) ([]PendingTx, error) {
 	wire, err := call[[]decodedWireTx](ctx, c, "eth_getFilterChanges", id)
 	if err != nil {
 		return nil, filterError(err)
@@ -101,13 +101,13 @@ func (c *Client) TxFilterChanges(ctx context.Context, id string) ([]PendingTx, e
 }
 
 // UninstallFilter removes a filter, reporting whether the node knew it.
-func (c *Client) UninstallFilter(ctx context.Context, id string) (bool, error) {
+func (c *client) UninstallFilter(ctx context.Context, id string) (bool, error) {
 	return call[bool](ctx, c, "eth_uninstallFilter", id)
 }
 
 // GetTransactionByHash fetches one transaction; ok=false means the node does
 // not know the hash (result null).
-func (c *Client) GetTransactionByHash(ctx context.Context, hash [32]byte) (PendingTx, bool, error) {
+func (c *client) GetTransactionByHash(ctx context.Context, hash [32]byte) (PendingTx, bool, error) {
 	wire, err := call[*decodedWireTx](ctx, c, "eth_getTransactionByHash", "0x"+hex.EncodeToString(hash[:]))
 	if err != nil || wire == nil {
 		return PendingTx{}, false, err
@@ -133,16 +133,6 @@ type TxFeed struct {
 // the node the plane schedules the install onto, and returns the pinned
 // feed.
 func (m *MultiClient) OpenTxFeed(ctx context.Context, fromBlock uint64) (*TxFeed, error) {
-	if m.single != nil {
-		n := m.plane.Nodes()[0]
-		n.requests.Add(1)
-		id, err := m.single.NewPendingTxFilter(ctx, fromBlock)
-		n.CountOutcome(err)
-		if err != nil {
-			return nil, err
-		}
-		return &TxFeed{m: m, node: n, id: id}, nil
-	}
 	type install struct {
 		node *Node
 		id   string
@@ -163,12 +153,6 @@ func (f *TxFeed) Node() *Node { return f.node }
 // Poll drains the next batch of pending transactions. ErrFilterNotFound
 // means the feed is dead and must be reopened.
 func (f *TxFeed) Poll(ctx context.Context) ([]PendingTx, error) {
-	if f.m.single != nil {
-		f.node.requests.Add(1)
-		txs, err := f.m.single.TxFilterChanges(ctx, f.id)
-		f.node.CountOutcome(err)
-		return txs, err
-	}
 	return PlaneDo(ctx, f.m.plane, []*Node{f.node}, func(ctx context.Context, n *Node) ([]PendingTx, error) {
 		return f.m.clients[n.Index()].TxFilterChanges(ctx, f.id)
 	})
@@ -176,10 +160,6 @@ func (f *TxFeed) Poll(ctx context.Context) ([]PendingTx, error) {
 
 // Close uninstalls the feed's filter (best effort).
 func (f *TxFeed) Close(ctx context.Context) error {
-	if f.m.single != nil {
-		_, err := f.m.single.UninstallFilter(ctx, f.id)
-		return err
-	}
 	_, err := PlaneDo(ctx, f.m.plane, []*Node{f.node}, func(ctx context.Context, n *Node) (bool, error) {
 		return f.m.clients[n.Index()].UninstallFilter(ctx, f.id)
 	})

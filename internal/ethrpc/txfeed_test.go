@@ -27,7 +27,7 @@ func TestTxFilterDrainsWholeLog(t *testing.T) {
 	c := testTxChain(t, 300)
 	srv := httptest.NewServer(NewServer(c, 1))
 	defer srv.Close()
-	client := NewClient(srv.URL)
+	client := newClient(srv.URL)
 	ctx := context.Background()
 
 	id, err := client.NewPendingTxFilter(ctx, 0)
@@ -64,7 +64,7 @@ func TestTxFilterResumesFromBlock(t *testing.T) {
 	c := testTxChain(t, 200)
 	srv := httptest.NewServer(NewServer(c, 1))
 	defer srv.Close()
-	client := NewClient(srv.URL)
+	client := newClient(srv.URL)
 	ctx := context.Background()
 
 	all := c.TxsInRange(0, ^uint64(0))
@@ -91,7 +91,7 @@ func TestTxFilterNotFound(t *testing.T) {
 	c := testTxChain(t, 50)
 	srv := httptest.NewServer(NewServer(c, 1))
 	defer srv.Close()
-	client := NewClient(srv.URL)
+	client := newClient(srv.URL)
 	ctx := context.Background()
 
 	id, err := client.NewPendingTxFilter(ctx, 0)
@@ -114,7 +114,7 @@ func TestGetTransactionByHash(t *testing.T) {
 	c := testTxChain(t, 60)
 	srv := httptest.NewServer(NewServer(c, 1))
 	defer srv.Close()
-	client := NewClient(srv.URL)
+	client := newClient(srv.URL)
 	ctx := context.Background()
 
 	want := c.TxsInRange(0, ^uint64(0))[7]

@@ -7,7 +7,6 @@ import (
 	"net/http"
 	"net/url"
 	"sort"
-	"strconv"
 	"sync"
 	"time"
 
@@ -26,37 +25,20 @@ func WithWorkers(n int) CrawlerOption {
 	}
 }
 
-// WithCrawlerHTTP substitutes the HTTP client.
-func WithCrawlerHTTP(h *http.Client) CrawlerOption {
-	return func(c *Crawler) { c.http = h }
-}
-
-// WithMaxAttempts caps retries per request (default 5; 429s and transport
-// errors are retried with exponential backoff).
-func WithMaxAttempts(n int) CrawlerOption {
-	return func(c *Crawler) {
-		if n > 0 {
-			c.maxAttempts = n
-		}
-	}
-}
-
 // Crawler scrapes the registry and label services the way the paper's data
 // gathering scraped BigQuery + Etherscan. Safe for concurrent use.
 type Crawler struct {
-	base        string
-	http        *http.Client
-	workers     int
-	maxAttempts int
+	base    string
+	http    *http.Client
+	workers int
 }
 
 // NewCrawler returns a crawler rooted at the service base URL.
 func NewCrawler(base string, opts ...CrawlerOption) *Crawler {
 	c := &Crawler{
-		base:        base,
-		http:        &http.Client{Timeout: 10 * time.Second, Transport: ethrpc.NewPooledTransport()},
-		workers:     8,
-		maxAttempts: 5,
+		base:    base,
+		http:    &http.Client{Timeout: 10 * time.Second, Transport: ethrpc.NewPooledTransport()},
+		workers: 8,
 	}
 	for _, opt := range opts {
 		opt(c)
@@ -72,8 +54,8 @@ func (c *Crawler) ListContracts(ctx context.Context, fromBlock, toBlock uint64) 
 	for {
 		u := fmt.Sprintf("%s/registry/contracts?from=%d&to=%d&cursor=%d",
 			c.base, fromBlock, toBlock, cursor)
-		var page RegistryPage
-		if err := c.getJSON(ctx, u, &page); err != nil {
+		page, err := getJSON[RegistryPage](ctx, c, u)
+		if err != nil {
 			return nil, fmt.Errorf("explorer: registry page at cursor %d: %w", cursor, err)
 		}
 		out = append(out, page.Addresses...)
@@ -90,8 +72,8 @@ func (c *Crawler) ListContracts(ctx context.Context, fromBlock, toBlock uint64) 
 // Label fetches one address's label.
 func (c *Crawler) Label(ctx context.Context, address string) (string, error) {
 	u := c.base + "/api/label?address=" + url.QueryEscape(address)
-	var resp LabelResponse
-	if err := c.getJSON(ctx, u, &resp); err != nil {
+	resp, err := getJSON[LabelResponse](ctx, c, u)
+	if err != nil {
 		return "", err
 	}
 	return resp.Label, nil
@@ -138,64 +120,37 @@ feed:
 	return results
 }
 
-// getJSON performs one GET with retry on 429/5xx/transport errors.
-func (c *Crawler) getJSON(ctx context.Context, u string, into any) error {
-	backoff := 25 * time.Millisecond
-	var lastErr error
-	for attempt := 0; attempt < c.maxAttempts; attempt++ {
-		if attempt > 0 {
-			select {
-			case <-ctx.Done():
-				return ctx.Err()
-			case <-time.After(backoff):
-			}
-			backoff *= 2
-		}
-		retryable, err := c.getOnce(ctx, u, into)
-		if err == nil {
-			return nil
-		}
-		lastErr = err
-		if !retryable {
-			return err
-		}
-	}
-	return fmt.Errorf("explorer: giving up after %d attempts: %w", c.maxAttempts, lastErr)
-}
+// crawlRetry paces the crawler's retries on backoff alone. The explorer's
+// Retry-After counts whole seconds against a bucket that refills
+// continuously, so honoring it would idle a worker for a second per 429.
+var crawlRetry = ethrpc.RetryPolicy{Attempts: 5, Backoff: 25 * time.Millisecond}
 
-func (c *Crawler) getOnce(ctx context.Context, u string, into any) (retryable bool, err error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
-	if err != nil {
-		return false, err
-	}
-	resp, err := c.http.Do(req)
-	if err != nil {
-		return true, err
-	}
-	defer resp.Body.Close()
-	switch {
-	case resp.StatusCode == http.StatusOK:
-		if err := json.NewDecoder(resp.Body).Decode(into); err != nil {
-			return true, fmt.Errorf("decode body: %w", err)
+// getJSON GETs u and decodes its JSON body into a T. 429s, 5xx statuses,
+// transport faults and undecodable bodies are transient and retried; any
+// other status is the service's answer.
+func getJSON[T any](ctx context.Context, c *Crawler, u string) (T, error) {
+	return ethrpc.Retry(ctx, crawlRetry, func() (T, error) {
+		var v T
+		req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
+		if err != nil {
+			return v, err
 		}
-		return false, nil
-	case resp.StatusCode == http.StatusTooManyRequests:
-		if ra := resp.Header.Get("Retry-After"); ra != "" {
-			if secs, perr := strconv.Atoi(ra); perr == nil && secs >= 0 {
-				select {
-				case <-ctx.Done():
-					return false, ctx.Err()
-				case <-time.After(time.Duration(secs) * time.Second / 10):
-					// Honour a fraction of Retry-After: the simulated
-					// services advertise whole seconds but refill
-					// continuously.
-				}
-			}
+		resp, err := c.http.Do(req)
+		if err != nil {
+			return v, ethrpc.MarkTransient(err)
 		}
-		return true, fmt.Errorf("rate limited (429)")
-	case resp.StatusCode >= 500:
-		return true, fmt.Errorf("server status %d", resp.StatusCode)
-	default:
-		return false, fmt.Errorf("status %d", resp.StatusCode)
-	}
+		defer ethrpc.CloseBody(resp)
+		switch {
+		case resp.StatusCode == http.StatusTooManyRequests:
+			return v, ethrpc.MarkTransient(&ethrpc.RateLimitError{})
+		case resp.StatusCode >= 500:
+			return v, ethrpc.MarkTransient(fmt.Errorf("server status %d", resp.StatusCode))
+		case resp.StatusCode != http.StatusOK:
+			return v, fmt.Errorf("status %d", resp.StatusCode)
+		}
+		if err := json.NewDecoder(resp.Body).Decode(&v); err != nil {
+			return v, ethrpc.MarkTransient(fmt.Errorf("decode body: %w", err))
+		}
+		return v, nil
+	})
 }

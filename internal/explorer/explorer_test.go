@@ -2,7 +2,11 @@ package explorer
 
 import (
 	"context"
+	"net"
+	"net/http"
 	"net/http/httptest"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -146,7 +150,7 @@ func TestCrawlerRetriesThroughRateLimit(t *testing.T) {
 	svc := NewService(c, ServiceConfig{RateLimit: 200, Burst: 3})
 	srv := httptest.NewServer(svc.Handler())
 	defer srv.Close()
-	crawler := NewCrawler(srv.URL, WithWorkers(8), WithMaxAttempts(8))
+	crawler := NewCrawler(srv.URL, WithWorkers(8))
 
 	all := c.All()
 	addrs := make([]string, 0, 30)
@@ -170,12 +174,43 @@ func TestCrawlerRetriesThroughRateLimit(t *testing.T) {
 	}
 }
 
+// TestCrawlerKeepsConnectionAcrossErrorStatuses pins the bounded drain in
+// the crawler: four 429s (or 502s) and then a 200 must travel over one TCP
+// connection. Closing an unread error body makes the transport drop the
+// connection, so every retry would dial a new one.
+func TestCrawlerKeepsConnectionAcrossErrorStatuses(t *testing.T) {
+	for _, status := range []int{http.StatusTooManyRequests, http.StatusBadGateway} {
+		var conns, calls atomic.Int64
+		srv := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if calls.Add(1) <= 4 {
+				http.Error(w, strings.Repeat("busy ", 200), status)
+				return
+			}
+			writeJSON(w, LabelResponse{Address: r.URL.Query().Get("address"), Label: PhishLabel})
+		}))
+		srv.Config.ConnState = func(_ net.Conn, s http.ConnState) {
+			if s == http.StateNew {
+				conns.Add(1)
+			}
+		}
+		srv.Start()
+		label, err := NewCrawler(srv.URL).Label(context.Background(), chain.DeriveAddress(1, 1).String())
+		srv.Close()
+		if err != nil || label != PhishLabel {
+			t.Fatalf("status %d: Label = (%q, %v), want %q", status, label, err, PhishLabel)
+		}
+		if calls.Load() != 5 || conns.Load() != 1 {
+			t.Errorf("status %d: %d requests over %d connections, want 5 over 1", status, calls.Load(), conns.Load())
+		}
+	}
+}
+
 func TestLabelErrors(t *testing.T) {
 	c := testChain(t, 9)
 	svc := NewService(c, ServiceConfig{})
 	srv := httptest.NewServer(svc.Handler())
 	defer srv.Close()
-	crawler := NewCrawler(srv.URL, WithMaxAttempts(1))
+	crawler := NewCrawler(srv.URL)
 	ctx := context.Background()
 
 	if _, err := crawler.Label(ctx, "garbage"); err == nil {

@@ -16,7 +16,7 @@ import (
 type BackfillConfig struct {
 	// RPCURLs are the JSON-RPC endpoints the fetch plane fans out over.
 	// Several endpoints multiply the fetch ceiling of rate-limited
-	// providers; one endpoint behaves exactly like the plain client.
+	// providers; one endpoint gets the same window, breaker and retries.
 	RPCURLs []string
 	// Hedge re-issues straggling RPC requests on a second endpoint after
 	// this delay (0 disables).
@@ -143,14 +143,10 @@ func NewBackfill(scorer Scorer, cfg BackfillConfig) (*Backfill, error) {
 	if err := cfg.fillDefaults(); err != nil {
 		return nil, err
 	}
-	mopts := []ethrpc.MultiOption{ethrpc.WithHedge(cfg.Hedge)}
-	if cfg.BreakerStreak != 0 || cfg.BreakerCooldown > 0 {
-		mopts = append(mopts, ethrpc.WithMultiBreaker(cfg.BreakerStreak, cfg.BreakerCooldown))
-	}
-	if cfg.RetryBackoff > 0 {
-		mopts = append(mopts, ethrpc.WithMultiRetries(0, cfg.RetryBackoff))
-	}
-	rpc, err := ethrpc.NewMultiClient(cfg.RPCURLs, mopts...)
+	rpc, err := ethrpc.NewMultiClient(cfg.RPCURLs,
+		ethrpc.WithPlaneHedge(cfg.Hedge),
+		ethrpc.WithPlaneBreaker(cfg.BreakerStreak, cfg.BreakerCooldown),
+		ethrpc.WithPlaneRetries(0, cfg.RetryBackoff))
 	if err != nil {
 		return nil, err
 	}

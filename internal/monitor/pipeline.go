@@ -14,9 +14,8 @@ import (
 )
 
 // CodeFetcher is the slice of the RPC plane the pipeline drives: one batched
-// bytecode fetch. Both *ethrpc.Client and *ethrpc.MultiClient satisfy it, so
-// the same pipeline runs over a single node or an adaptive multi-endpoint
-// fetch plane.
+// bytecode fetch. *ethrpc.MultiClient satisfies it over one node or many,
+// and tests substitute fakes.
 type CodeFetcher interface {
 	GetCodeBatch(ctx context.Context, addrs []chain.Address) ([][]byte, error)
 }

@@ -203,14 +203,10 @@ func New(scorer Scorer, cfg Config) (*Watcher, error) {
 	if err := cfg.fillDefaults(); err != nil {
 		return nil, err
 	}
-	mopts := []ethrpc.MultiOption{ethrpc.WithHedge(cfg.Hedge)}
-	if cfg.BreakerStreak != 0 || cfg.BreakerCooldown > 0 {
-		mopts = append(mopts, ethrpc.WithMultiBreaker(cfg.BreakerStreak, cfg.BreakerCooldown))
-	}
-	if cfg.RetryBackoff > 0 {
-		mopts = append(mopts, ethrpc.WithMultiRetries(0, cfg.RetryBackoff))
-	}
-	rpc, err := ethrpc.NewMultiClient(cfg.endpoints(), mopts...)
+	rpc, err := ethrpc.NewMultiClient(cfg.endpoints(),
+		ethrpc.WithPlaneHedge(cfg.Hedge),
+		ethrpc.WithPlaneBreaker(cfg.BreakerStreak, cfg.BreakerCooldown),
+		ethrpc.WithPlaneRetries(0, cfg.RetryBackoff))
 	if err != nil {
 		return nil, err
 	}

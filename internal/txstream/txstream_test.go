@@ -14,6 +14,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"github.com/phishinghook/phishinghook/internal/chain"
 	"github.com/phishinghook/phishinghook/internal/ethrpc"
@@ -417,5 +418,35 @@ func TestContractWatcherRefusesTxCheckpoint(t *testing.T) {
 	})
 	if err == nil {
 		t.Fatal("contract watcher resumed a tx-modality checkpoint")
+	}
+}
+
+// TestSingleEndpointWatcherUsesPlaneSettings pins a one-endpoint watcher to
+// its config's plane settings: against an endpoint that answers torn JSON,
+// a breaker streak of 3 must trip after exactly 3 exchanges (1ms apart, per
+// RetryBackoff), and the hour-long cooldown must hold off a fourth.
+func TestSingleEndpointWatcherUsesPlaneSettings(t *testing.T) {
+	var exchanges atomic.Int64
+	torn := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		exchanges.Add(1)
+		io.WriteString(w, `{"jsonrpc":"2.0","id":1,"result":`)
+	}))
+	defer torn.Close()
+	w, err := New(parityScorer(), Config{
+		RPCURL:          torn.URL,
+		BreakerStreak:   3,
+		BreakerCooldown: time.Hour,
+		RetryBackoff:    time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 300*time.Millisecond)
+	defer cancel()
+	if err := w.Run(ctx); err == nil {
+		t.Fatal("Run succeeded against a torn endpoint")
+	}
+	if got, trips := exchanges.Load(), w.Endpoints()[0].BreakerTrips; got != 3 || trips != 1 {
+		t.Errorf("%d exchanges and %d breaker trips, want 3 and 1", got, trips)
 	}
 }

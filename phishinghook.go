@@ -158,7 +158,10 @@ func (f *Framework) ExtractBytecode(ctx context.Context, address string) ([]byte
 	if err != nil {
 		return nil, err
 	}
-	client := ethrpc.NewClient(f.rpcURL)
+	client, err := ethrpc.NewMultiClient([]string{f.rpcURL})
+	if err != nil {
+		return nil, err
+	}
 	return client.GetCode(ctx, addr)
 }
 
@@ -177,7 +180,10 @@ func (f *Framework) BuildDataset(ctx context.Context, fromBlock, toBlock uint64,
 	// Extraction fans out over f.workers goroutines (eth_getCode is the
 	// pipeline's slowest step); results keep the crawl order so dedup and
 	// balancing stay deterministic.
-	client := ethrpc.NewClient(f.rpcURL)
+	client, err := ethrpc.NewMultiClient([]string{f.rpcURL})
+	if err != nil {
+		return nil, err
+	}
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	codes := make([][]byte, len(addrs))

@@ -501,7 +501,7 @@ func writeEndpointSeries(e *httpapi.Exposition, eps []EndpointStats) {
 		func(ep EndpointStats) float64 { return float64(ep.Failures) })
 	series("phishinghook_rpc_endpoint_hedges_total", "Hedged (raced) requests per endpoint.", "counter",
 		func(ep EndpointStats) float64 { return float64(ep.Hedges) })
-	series("phishinghook_rpc_endpoint_limit", "Current AIMD concurrency window (0 = uncapped single-endpoint mode).", "gauge",
+	series("phishinghook_rpc_endpoint_limit", "Current AIMD concurrency window.", "gauge",
 		func(ep EndpointStats) float64 { return ep.Limit })
 	series("phishinghook_rpc_endpoint_inflight", "Exchanges currently charged against the window.", "gauge",
 		func(ep EndpointStats) float64 { return float64(ep.Inflight) })

@@ -132,5 +132,9 @@ func OpenAlertWAL(path string, inner AlertSink) (*AlertWAL, error) {
 // a fresh watcher's cursor at "now" so its first scan doesn't replay chain
 // history.
 func CurrentHead(ctx context.Context, rpcURL string) (uint64, error) {
-	return ethrpc.NewClient(rpcURL).BlockNumber(ctx)
+	client, err := ethrpc.NewMultiClient([]string{rpcURL})
+	if err != nil {
+		return 0, err
+	}
+	return client.BlockNumber(ctx)
 }
