@@ -74,6 +74,38 @@ func TestChaosSoakTxWatchExactlyOnce(t *testing.T) {
 	runSoakScenario(t, "txwatch")
 }
 
+// TestChaosSoakSubscriptionFaults soaks the contract watcher, which wakes
+// on newHeads, under the subscription schedule: push sockets shed, then
+// silent, then shed on one endpoint, with a mid-run kill. Both socket
+// faults must fire, and every baseline alert must arrive exactly once.
+func TestChaosSoakSubscriptionFaults(t *testing.T) {
+	if testing.Short() {
+		t.Skip("chaos soak is seconds-long; skipped in -short")
+	}
+	cfg := DefaultChaosSoakConfig(11)
+	cfg.Scenario = "watch"
+	cfg.Schedule = "subscription"
+	cfg.Unit = 150 * time.Millisecond
+	cfg.Dir = t.TempDir()
+	cfg.Logf = t.Logf
+	rep, err := RunChaosSoak(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.BaselineAlerts == 0 {
+		t.Fatal("baseline pass produced no alerts; the soak proved nothing")
+	}
+	for _, k := range []ChaosKind{chaos.KindSubDrop, chaos.KindSubStall} {
+		if rep.Faults[string(k)] == 0 {
+			t.Errorf("%s windows never fired (faults %v)", k, rep.Faults)
+		}
+	}
+	if rep.Lost != 0 || rep.Duplicates != 0 {
+		t.Errorf("%d lost and %d duplicate alerts under socket faults (baseline %d)", rep.Lost, rep.Duplicates, rep.BaselineAlerts)
+	}
+	t.Logf("%d alerts both passes; faults %v", rep.Alerts, rep.Faults)
+}
+
 // TestChaosSoakClusterExactlyOnce runs the same plan with scoring routed
 // through the consistent-hash cluster over chaos-wrapped replicas.
 func TestChaosSoakClusterExactlyOnce(t *testing.T) {

@@ -87,8 +87,19 @@ func runChaosBench(seed int64, path string) error {
 	}
 	plans := []gated{
 		// Everything at once, with a kill/resume mid-schedule: the headline
-		// zero-lost / zero-duplicate soak.
-		{"txwatch", "soak", true, exactlyOnce},
+		// zero-lost / zero-duplicate soak. The push-socket faults must fire,
+		// or the soak never tested the watchers' fall back to polling.
+		{"txwatch", "soak", true, func(r chaosRun) error {
+			if err := exactlyOnce(r); err != nil {
+				return err
+			}
+			for _, k := range []string{"sub-drop", "sub-stall"} {
+				if r.Faults[k] == 0 {
+					return fmt.Errorf("chaos gate: %s/%s never fired %s", r.Scenario, r.Schedule, k)
+				}
+			}
+			return nil
+		}},
 		// One endpoint answering garbage: the plane breaker must hard-trip it
 		// instead of letting retries grind on wrong bytes.
 		{"txwatch", "malformed", false, func(r chaosRun) error {

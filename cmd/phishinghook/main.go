@@ -853,7 +853,7 @@ func cmdTxWatch(args []string) error {
 	threshold := fs.Float64("threshold", 0.8, "minimum fused P(phishing) that fires an alert")
 	workers := fs.Int("workers", 0, "score workers (default GOMAXPROCS)")
 	codeCache := fs.Int("code-cache", 4096, "callee-bytecode LRU entries")
-	poll := fs.Duration("poll", 50*time.Millisecond, "tx filter poll interval")
+	poll := fs.Duration("poll", 50*time.Millisecond, "longest wait between tx filter polls when no newPendingTransactions notification arrives")
 	months := fs.Int("months", 1, "simulated months to watch (simulation mode)")
 	tick := fs.Duration("tick", 20*time.Millisecond, "simulated block-clock tick interval")
 	blocksPerTick := fs.Int("blocks-per-tick", 4000, "mean blocks released per simulated tick")
@@ -978,8 +978,8 @@ func cmdTxWatch(args []string) error {
 		return err
 	}
 	s := w.Stats()
-	fmt.Printf("judged txs through block %d in %s: %d polls, %d txs seen, %d scored, %d dedup hits, %d alerts, %d poisoned, %d errors, score p50=%.2fms p99=%.2fms\n",
-		s.Cursor, time.Since(t0).Round(time.Millisecond), s.Polls, s.TxsSeen, s.TxsScored,
+	fmt.Printf("judged txs through block %d in %s: %d polls (%d woken by newPendingTransactions), %d txs seen, %d scored, %d dedup hits, %d alerts, %d poisoned, %d errors, score p50=%.2fms p99=%.2fms\n",
+		s.Cursor, time.Since(t0).Round(time.Millisecond), s.Polls, s.Wakes, s.TxsSeen, s.TxsScored,
 		s.DedupHits, s.Alerts, s.Poisoned, s.Errors, s.ScoreP50MS, s.ScoreP99MS)
 	if ctx.Err() != nil && *checkpoint != "" {
 		fmt.Printf("interrupted — rerun with -checkpoint %s to resume\n", *checkpoint)
@@ -1142,7 +1142,7 @@ func cmdWatch(args []string) error {
 	alertsPath := fs.String("alerts", "", "append alerts to this JSONL file (always also logged)")
 	threshold := fs.Float64("threshold", 0.8, "minimum P(phishing) that fires an alert")
 	queue := fs.Int("queue", 1024, "score-queue bound (pipeline backpressure)")
-	poll := fs.Duration("poll", 100*time.Millisecond, "head poll interval")
+	poll := fs.Duration("poll", 100*time.Millisecond, "longest wait between head polls when no newHeads notification arrives")
 	months := fs.Int("months", 1, "simulated months to watch (simulation mode)")
 	tick := fs.Duration("tick", 20*time.Millisecond, "simulated block-clock tick interval")
 	blocksPerTick := fs.Int("blocks-per-tick", 4000, "mean blocks released per simulated tick")
@@ -1279,8 +1279,8 @@ func cmdWatch(args []string) error {
 		return err
 	}
 	s := w.Stats()
-	fmt.Printf("watched %d blocks in %s: %d contracts seen, %d scored, %d dedup hits, %d alerts, %d dropped, %d errors, score p50=%.2fms p99=%.2fms\n",
-		s.BlocksSeen, time.Since(t0).Round(time.Millisecond), s.ContractsSeen, s.ContractsScored,
+	fmt.Printf("watched %d blocks in %s: %d polls (%d woken by newHeads), %d contracts seen, %d scored, %d dedup hits, %d alerts, %d dropped, %d errors, score p50=%.2fms p99=%.2fms\n",
+		s.BlocksSeen, time.Since(t0).Round(time.Millisecond), s.Polls, s.Wakes, s.ContractsSeen, s.ContractsScored,
 		s.DedupHits, s.Alerts, s.Dropped, s.Errors, s.ScoreP50MS, s.ScoreP99MS)
 	return nil
 }

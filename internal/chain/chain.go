@@ -155,6 +155,10 @@ type Chain struct {
 	frozen    bool
 	live      bool
 	visible   uint64 // visible head block while live
+	// advanced is closed by the next AdvanceHead that moves the visible
+	// head; nil until someone asks for it, so an unwatched chain allocates
+	// nothing per advance.
+	advanced chan struct{}
 
 	// Transaction log (the second modality): txs is sorted by (Block, Hash)
 	// after SealTxs, and the same visible-head cursor gates it in live mode.
@@ -242,12 +246,30 @@ func (c *Chain) AdvanceHead(n uint64) uint64 {
 	if !c.live {
 		return c.headBlock
 	}
+	before := c.visible
 	if n > c.headBlock-c.visible {
 		c.visible = c.headBlock
 	} else {
 		c.visible += n
 	}
+	if c.visible != before && c.advanced != nil {
+		close(c.advanced)
+		c.advanced = nil
+	}
 	return c.visible
+}
+
+// Advanced returns a channel closed by the next AdvanceHead that moves the
+// visible head: the broadcast behind the node's eth_subscribe push. Take
+// the channel before reading the head, so an advance between the two reads
+// still closes it.
+func (c *Chain) Advanced() <-chan struct{} {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.advanced == nil {
+		c.advanced = make(chan struct{})
+	}
+	return c.advanced
 }
 
 // visibleLocked reports whether ct is released under the current read mode.

@@ -291,6 +291,49 @@ func TestLiveModeVisibility(t *testing.T) {
 	}
 }
 
+// TestAdvancedBroadcast: the channel closes on the next advance that moves
+// the visible head, not on one clamped at the tail, and each taken channel
+// closes exactly once.
+func TestAdvancedBroadcast(t *testing.T) {
+	c, err := Build(testBuildConfig(11))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tail := c.TailBlock()
+	if err := c.GoLive(tail - 2); err != nil {
+		t.Fatal(err)
+	}
+	closed := func(ch <-chan struct{}) bool {
+		select {
+		case <-ch:
+			return true
+		default:
+			return false
+		}
+	}
+	a, b := c.Advanced(), c.Advanced()
+	if a != b || closed(a) {
+		t.Fatal("two waiters before an advance must share one open channel")
+	}
+	c.AdvanceHead(1)
+	if !closed(a) {
+		t.Fatal("advance did not close the taken channel")
+	}
+	next := c.Advanced()
+	if closed(next) {
+		t.Fatal("a channel taken after the advance is already closed")
+	}
+	c.AdvanceHead(5) // clamps at the tail: still a move
+	if !closed(next) {
+		t.Fatal("clamped advance that moved the head did not close the channel")
+	}
+	last := c.Advanced()
+	c.AdvanceHead(1) // already at the tail: no move
+	if closed(last) {
+		t.Fatal("an advance that did not move the head closed the channel")
+	}
+}
+
 func TestGoLiveRequiresFreeze(t *testing.T) {
 	c := New()
 	if err := c.GoLive(0); err == nil {

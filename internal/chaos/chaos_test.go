@@ -1,9 +1,11 @@
 package chaos
 
 import (
+	"bufio"
 	"encoding/json"
 	"errors"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -304,5 +306,75 @@ func TestRollDeterminism(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatalf("same seed diverged at draw %d", i)
 		}
+	}
+}
+
+// hijacker stands in for the node's socket path: it hijacks every upgrade
+// and hands the connection to the test.
+func hijacker(conns chan<- net.Conn) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if conn, _, err := w.(http.Hijacker).Hijack(); err == nil {
+			conns <- conn
+		}
+	})
+}
+
+// upgrade sends a WebSocket opening handshake and returns the client's
+// connection and the status line when the server answered one.
+func upgrade(t *testing.T, url string) (net.Conn, string) {
+	t.Helper()
+	conn, err := net.Dial("tcp", strings.TrimPrefix(url, "http://"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { conn.Close() })
+	io.WriteString(conn, "GET / HTTP/1.1\r\nHost: x\r\nConnection: Upgrade\r\nUpgrade: websocket\r\n\r\n")
+	conn.SetReadDeadline(time.Now().Add(50 * time.Millisecond))
+	line, _ := bufio.NewReader(conn).ReadString('\n')
+	conn.SetReadDeadline(time.Time{})
+	return conn, line
+}
+
+// TestWrapHandlerSocketFaults: inside a sub-drop window an upgrade is
+// refused 503 and an existing socket closes at its next write; inside a
+// sub-stall window a write waits for the window to close, then lands.
+func TestWrapHandlerSocketFaults(t *testing.T) {
+	conns := make(chan net.Conn, 4)
+	const stall = 80 * time.Millisecond
+	in := NewInjector(Schedule{Seed: 1, Windows: []Window{
+		{Scope: ScopeRPC, Kind: KindSubStall, Target: -1, From: 0, To: stall},
+		{Scope: ScopeRPC, Kind: KindSubDrop, Target: -1, From: stall, To: time.Hour},
+	}})
+	srv := httptest.NewServer(in.WrapHandler(ScopeRPC, 0, hijacker(conns)))
+	defer srv.Close()
+
+	client, _ := upgrade(t, srv.URL) // before Start: no window is open
+	server := <-conns
+	in.Start()
+	t0 := time.Now()
+	if _, err := server.Write([]byte("held")); err != nil {
+		t.Fatalf("stalled write failed: %v", err)
+	}
+	if held := time.Since(t0); held < stall/2 {
+		t.Fatalf("write left after %v, inside the %v stall", held, stall)
+	}
+	got := make([]byte, 4)
+	if _, err := io.ReadFull(client, got); err != nil || string(got) != "held" {
+		t.Fatalf("client read %q, %v", got, err)
+	}
+	for time.Since(t0) < stall {
+		time.Sleep(time.Millisecond)
+	}
+	if _, err := server.Write([]byte("x")); err == nil {
+		t.Fatal("write inside the sub-drop window went through")
+	}
+	if _, err := client.Read(got); err == nil {
+		t.Fatal("socket stayed open after the sub-drop window opened")
+	}
+	if _, status := upgrade(t, srv.URL); !strings.Contains(status, "503") {
+		t.Fatalf("upgrade inside sub-drop answered %q, want 503", status)
+	}
+	if c := in.Counts(); c[KindSubStall] != 1 || c[KindSubDrop] != 2 {
+		t.Fatalf("counts %v, want one stall and two drops", c)
 	}
 }

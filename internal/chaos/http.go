@@ -1,10 +1,12 @@
 package chaos
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"time"
 )
@@ -15,9 +17,19 @@ import (
 // flap > latency > filter-loss > malformed > body rewrites (truncate,
 // partial batch). Connection aborts use http.ErrAbortHandler, so clients
 // observe a mid-exchange transport fault — EOF or connection reset — not a
-// clean HTTP error.
+// clean HTTP error. A WebSocket upgrade is refused 503 inside a sub-drop
+// window; otherwise the connection the handler hijacks for it carries the
+// sub-drop and sub-stall faults for the socket's whole life.
 func (in *Injector) WrapHandler(scope Scope, target int, inner http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Header.Get("Upgrade") != "" {
+			if open, _ := in.active(scope, target); hasKind(open, KindSubDrop) {
+				in.count(KindSubDrop)
+				http.Error(w, "subscriptions shed", http.StatusServiceUnavailable)
+				return
+			}
+			w = socketWriter{w, &socketFaults{in: in, scope: scope, target: target}}
+		}
 		open, remain := in.active(scope, target)
 		if len(open) == 0 {
 			inner.ServeHTTP(w, r)
@@ -132,6 +144,67 @@ func (in *Injector) WrapHandler(scope Scope, target int, inner http.Handler) htt
 		}
 		inner.ServeHTTP(w, r)
 	})
+}
+
+func hasKind(open []Window, k Kind) bool {
+	for _, w := range open {
+		if w.Kind == k {
+			return true
+		}
+	}
+	return false
+}
+
+// socketFaults is where a push socket's connection sits on the timeline.
+type socketFaults struct {
+	in     *Injector
+	scope  Scope
+	target int
+}
+
+// socketWriter hands the handler a fault-injecting connection when it
+// hijacks the request for a WebSocket.
+type socketWriter struct {
+	http.ResponseWriter
+	f *socketFaults
+}
+
+func (s socketWriter) Hijack() (net.Conn, *bufio.ReadWriter, error) {
+	hj, ok := s.ResponseWriter.(http.Hijacker)
+	if !ok {
+		return nil, nil, fmt.Errorf("chaos: %T cannot hijack", s.ResponseWriter)
+	}
+	conn, brw, err := hj.Hijack()
+	if err != nil {
+		return nil, nil, err
+	}
+	fc := &socketConn{Conn: conn, f: s.f}
+	brw.Writer.Reset(fc)
+	return fc, brw, nil
+}
+
+// socketConn applies the socket faults on write: inside a sub-drop window
+// the write closes the connection instead; inside a sub-stall window it
+// waits for the window to close first.
+type socketConn struct {
+	net.Conn
+	f *socketFaults
+}
+
+func (c *socketConn) Write(b []byte) (int, error) {
+	open, _ := c.f.in.active(c.f.scope, c.f.target)
+	for _, w := range open {
+		switch w.Kind {
+		case KindSubDrop:
+			c.f.in.count(KindSubDrop)
+			c.Conn.Close()
+			return 0, net.ErrClosed
+		case KindSubStall:
+			c.f.in.count(KindSubStall)
+			time.Sleep(w.To - c.f.in.Elapsed())
+		}
+	}
+	return c.Conn.Write(b)
 }
 
 // captureWriter buffers an inner handler's response so the middleware can

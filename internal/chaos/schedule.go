@@ -3,9 +3,11 @@
 // blackouts and flaps, malformed and truncated JSON-RPC bodies, partial
 // batch failures, filter-loss storms, latency spikes, torn and failed
 // checkpoint writes, alert-sink outages and hangs, replica crashes and
-// hang-without-crash — and an Injector binds them onto the real seams:
-// http.Handler middleware in front of the simulated RPC node or a scoring
-// replica, the lifecycle.WriteFileAtomic hook, and a monitor.Sink wrapper.
+// hang-without-crash, dropped and stalled subscription sockets — and an
+// Injector binds them onto the real seams: http.Handler middleware in front
+// of the simulated RPC node or a scoring replica (wrapping the hijacked
+// connection of a push socket), the lifecycle.WriteFileAtomic hook, and a
+// monitor.Sink wrapper.
 //
 // Every probabilistic decision draws from one stream seeded by the
 // schedule, so a soak run is reproducible: the same seed yields the same
@@ -69,6 +71,13 @@ const (
 	KindSinkError Kind = "sink-error"
 	// KindSinkHang blocks Emit for Extra per alert.
 	KindSinkHang Kind = "sink-hang"
+	// KindSubDrop closes every eth_subscribe socket when its window opens
+	// (at the socket's first write inside it) and refuses upgrades 503
+	// while the window is open — a provider shedding its push connections.
+	KindSubDrop Kind = "sub-drop"
+	// KindSubStall holds every write on a subscription socket until its
+	// window closes: the socket stays up and says nothing.
+	KindSubStall Kind = "sub-stall"
 )
 
 // Window is one fault interval: Kind injected at Scope/Target while the
@@ -114,7 +123,7 @@ func (s Schedule) Horizon() time.Duration {
 func ScheduleNames() []string {
 	return []string{
 		"blackout", "flap", "malformed", "filter-storm",
-		"torn-store", "sink-outage", "replica-crash", "replica-hang", "soak",
+		"torn-store", "sink-outage", "replica-crash", "replica-hang", "subscription", "soak",
 	}
 }
 
@@ -178,6 +187,15 @@ func Named(name string, seed int64, unit time.Duration) (Schedule, error) {
 		s.Windows = []Window{
 			{Scope: ScopeReplica, Kind: KindHang, Target: 0, From: u(2), To: u(6)},
 		}
+	case "subscription":
+		// Push sockets shed, then silent, then shed on one endpoint: the
+		// watchers fall back to their poll timers and redial, with no alert
+		// lost or repeated.
+		s.Windows = []Window{
+			{Scope: ScopeRPC, Kind: KindSubDrop, Target: -1, From: u(1), To: u(3)},
+			{Scope: ScopeRPC, Kind: KindSubStall, Target: -1, From: u(4), To: u(6)},
+			{Scope: ScopeRPC, Kind: KindSubDrop, Target: 0, From: u(7), To: u(8)},
+		}
 	case "soak":
 		// Everything, staggered: the full resilience layer under load.
 		s.Windows = []Window{
@@ -185,6 +203,8 @@ func Named(name string, seed int64, unit time.Duration) (Schedule, error) {
 			{Scope: ScopeRPC, Kind: KindMalformed, Target: 0, From: u(2), To: u(5)},
 			{Scope: ScopeRPC, Kind: KindFilterLoss, Target: -1, From: u(4), To: u(6), P: 0.5},
 			{Scope: ScopeRPC, Kind: KindBlackout, Target: -1, From: u(6), To: u(8)},
+			{Scope: ScopeRPC, Kind: KindSubDrop, Target: -1, From: u(2), To: u(4)},
+			{Scope: ScopeRPC, Kind: KindSubStall, Target: -1, From: u(5), To: u(7)},
 			{Scope: ScopeStore, Kind: KindWriteTorn, Target: -1, From: u(3), To: u(7), P: 0.5},
 			{Scope: ScopeSink, Kind: KindSinkError, Target: -1, From: u(2), To: u(9)},
 			{Scope: ScopeReplica, Kind: KindHang, Target: 0, From: u(1), To: u(4)},

@@ -97,6 +97,23 @@ func (m *MultiClient) ChainID(ctx context.Context) (uint64, error) {
 	})
 }
 
+// Subscribe opens an eth_subscribe socket of the given kind (NewHeads or
+// NewPendingTransactions) to every endpoint, one socket per endpoint, and
+// returns a 1-slot wake channel: any notification from any endpoint is a
+// non-blocking send on it. The sockets close when ctx ends. A failed dial or
+// a dropped socket redials after the plane's breaker cooldown. An endpoint
+// that answers the upgrade 4xx (429 aside) or eth_subscribe with an error is
+// never redialed. A caller selects on the channel next to its poll timer,
+// so an endpoint without a working subscription costs only the timer's
+// latency.
+func (m *MultiClient) Subscribe(ctx context.Context, kind string) <-chan struct{} {
+	wake := make(chan struct{}, 1)
+	for _, c := range m.clients {
+		go c.subscribe(ctx, kind, m.plane.breakerCooldown, wake)
+	}
+	return wake
+}
+
 // multiDo runs one call through the plane: scheduled, hedged and retried.
 func multiDo[T any](ctx context.Context, m *MultiClient, fn func(context.Context, *client) (T, error)) (T, error) {
 	return PlaneDo(ctx, m.plane, nil, func(ctx context.Context, n *Node) (T, error) {

@@ -8,6 +8,7 @@ package ethrpc
 
 import (
 	"bytes"
+	"encoding/base64"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
@@ -172,9 +173,14 @@ func (s *Server) reject(w http.ResponseWriter, wait time.Duration) {
 
 // ServeHTTP handles one JSON-RPC exchange: a single request object or a
 // JSON-RPC 2.0 batch (an array of requests answered with an array of
-// responses, one per item).
+// responses, one per item). A GET asking for Upgrade: websocket opens an
+// eth_subscribe socket instead; any other non-POST request is refused 405.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
+		if r.Method == http.MethodGet && strings.EqualFold(r.Header.Get("Upgrade"), "websocket") {
+			s.serveSocket(w, r)
+			return
+		}
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
 		return
 	}
@@ -416,4 +422,152 @@ func (s *Server) getTransactionByHash(params []json.RawMessage) (any, *rpcError)
 		return nil, nil
 	}
 	return encodeWireTx(tx), nil
+}
+
+// serveSocket answers the WebSocket opening handshake and serves
+// eth_subscribe on the connection. The upgrade costs one rate-limit token;
+// notifications cost none. The socket runs on the hijacked connection, so
+// closing the HTTP server never waits on it; its goroutines end when the
+// peer closes or a write fails.
+func (s *Server) serveSocket(w http.ResponseWriter, r *http.Request) {
+	key := r.Header.Get("Sec-WebSocket-Key")
+	if nonce, err := base64.StdEncoding.DecodeString(key); err != nil || len(nonce) != 16 ||
+		r.Header.Get("Sec-WebSocket-Version") != "13" ||
+		!strings.Contains(strings.ToLower(r.Header.Get("Connection")), "upgrade") {
+		http.Error(w, "bad websocket handshake", http.StatusBadRequest)
+		return
+	}
+	if wait, ok := s.allow(1); !ok {
+		s.reject(w, wait)
+		return
+	}
+	hj, ok := w.(http.Hijacker)
+	if !ok {
+		http.Error(w, "connection cannot be upgraded", http.StatusInternalServerError)
+		return
+	}
+	conn, brw, err := hj.Hijack()
+	if err != nil {
+		return
+	}
+	sock := newSocket(conn, brw.Reader, false)
+	sock.w.WriteString("HTTP/1.1 101 Switching Protocols\r\nUpgrade: websocket\r\nConnection: Upgrade\r\n" +
+		"Sec-WebSocket-Accept: " + acceptKey(key) + "\r\n\r\n")
+	if err := sock.w.Flush(); err != nil {
+		conn.Close()
+		return
+	}
+	go s.session(sock)
+}
+
+// subscription is one socket's eth_subscribe state. The advance channel and
+// the positions are taken before the reply is written, so no advance slips
+// in between the subscribe and the first notification.
+type subscription struct {
+	id, kind string
+	advanced <-chan struct{}
+	head     uint64 // last head announced (newHeads)
+	txs      int    // tx-log position already announced (newPendingTransactions)
+}
+
+// session reads the client's frames until the socket ends. It serves one
+// eth_subscribe per socket and starts its notifier; any other request gets
+// a JSON-RPC error.
+func (s *Server) session(sock *socket) {
+	done := make(chan struct{})
+	defer func() {
+		close(done)
+		sock.conn.Close()
+	}()
+	var sub *subscription
+	for {
+		msg, err := sock.read()
+		if err != nil {
+			return
+		}
+		var req rpcRequest
+		resp := rpcResponse{JSONRPC: "2.0"}
+		var kind string
+		switch {
+		case json.Unmarshal(msg, &req) != nil:
+			resp.Error = &rpcError{codeParse, "parse error"}
+		case req.Method != "eth_subscribe":
+			resp.ID, resp.Error = req.ID, &rpcError{codeMethodNotFound, "only eth_subscribe is served on the socket"}
+		case sub != nil:
+			resp.ID, resp.Error = req.ID, &rpcError{codeInvalidRequest, "one subscription per socket"}
+		case len(req.Params) != 1 || json.Unmarshal(req.Params[0], &kind) != nil || (kind != NewHeads && kind != NewPendingTransactions):
+			resp.ID, resp.Error = req.ID, &rpcError{codeInvalidParams, "eth_subscribe takes (newHeads|newPendingTransactions)"}
+		default:
+			sub = &subscription{id: fmt.Sprintf("0x%x", s.nextFilter.Add(1)), kind: kind, advanced: s.chain.Advanced()}
+			if kind == NewHeads {
+				sub.head = s.chain.HeadBlock()
+			} else {
+				sub.txs = s.chain.TxCount()
+			}
+			resp.ID, resp.Result = req.ID, sub.id
+		}
+		reply, _ := json.Marshal(resp) // our own value types always encode
+		if sock.write(opText, reply) != nil {
+			return
+		}
+		if resp.Error == nil {
+			go s.notify(sock, sub, done)
+		}
+	}
+}
+
+// notify pushes sub's notifications until done closes or a write fails,
+// flushing once per head advance (and per maxFilterBatch txs on a larger
+// one). newHeads sends one header carrying the latest head; advances missed
+// while a write was in flight coalesce into it. newPendingTransactions
+// sends the hash of every newly visible tx.
+func (s *Server) notify(sock *socket, sub *subscription, done <-chan struct{}) {
+	for {
+		select {
+		case <-done:
+			return
+		case <-sub.advanced:
+		}
+		sub.advanced = s.chain.Advanced()
+		if err := s.announce(sock, sub); err != nil {
+			sock.conn.Close()
+			return
+		}
+	}
+}
+
+// announce writes what one head advance made visible to sub.
+func (s *Server) announce(sock *socket, sub *subscription) error {
+	if sub.kind == NewHeads {
+		head := s.chain.HeadBlock()
+		if head == sub.head {
+			return nil
+		}
+		sub.head = head
+		return sock.write(opText, notification(sub.id, map[string]string{"number": hexUint(head)}))
+	}
+	for {
+		txs, next := s.chain.TxsSince(sub.txs, maxFilterBatch)
+		if len(txs) == 0 {
+			return nil
+		}
+		sub.txs = next
+		frames := make([][]byte, len(txs))
+		for i, tx := range txs {
+			frames[i] = notification(sub.id, tx.HashHex())
+		}
+		if err := sock.write(opText, frames...); err != nil || len(txs) < maxFilterBatch {
+			return err
+		}
+	}
+}
+
+// notification renders one eth_subscription message.
+func notification(id string, result any) []byte {
+	b, _ := json.Marshal(map[string]any{ // strings only: cannot fail
+		"jsonrpc": "2.0",
+		"method":  "eth_subscription",
+		"params":  map[string]any{"subscription": id, "result": result},
+	})
+	return b
 }

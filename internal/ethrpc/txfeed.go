@@ -105,17 +105,6 @@ func (c *client) UninstallFilter(ctx context.Context, id string) (bool, error) {
 	return call[bool](ctx, c, "eth_uninstallFilter", id)
 }
 
-// GetTransactionByHash fetches one transaction; ok=false means the node does
-// not know the hash (result null).
-func (c *client) GetTransactionByHash(ctx context.Context, hash [32]byte) (PendingTx, bool, error) {
-	wire, err := call[*decodedWireTx](ctx, c, "eth_getTransactionByHash", "0x"+hex.EncodeToString(hash[:]))
-	if err != nil || wire == nil {
-		return PendingTx{}, false, err
-	}
-	tx, err := wire.decode()
-	return tx, err == nil, err
-}
-
 // TxFeed is an open pending-transaction feed over the plane. A filter is
 // per-node server state, so the feed pins the node that installed it — but
 // every poll is still scheduled through the plane (within = the pinned

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"github.com/phishinghook/phishinghook/internal/chain"
@@ -118,15 +119,20 @@ func TestGetTransactionByHash(t *testing.T) {
 	ctx := context.Background()
 
 	want := c.TxsInRange(0, ^uint64(0))[7]
-	tx, ok, err := client.GetTransactionByHash(ctx, want.Hash)
-	if err != nil || !ok {
-		t.Fatalf("GetTransactionByHash: ok=%v err=%v", ok, err)
+	wire, err := call[*decodedWireTx](ctx, client, "eth_getTransactionByHash", want.HashHex())
+	if err != nil || wire == nil {
+		t.Fatalf("eth_getTransactionByHash: %+v, %v", wire, err)
+	}
+	tx, err := wire.decode()
+	if err != nil {
+		t.Fatal(err)
 	}
 	if tx.Hash != want.Hash || tx.To != chain.Address(want.To) || tx.Block != want.Block {
 		t.Fatal("fetched tx diverges from the log")
 	}
-	if _, ok, err := client.GetTransactionByHash(ctx, [32]byte{0xde, 0xad}); err != nil || ok {
-		t.Fatalf("unknown hash: ok=%v err=%v, want null result", ok, err)
+	unknown := "0x" + strings.Repeat("de", 32)
+	if wire, err := call[*decodedWireTx](ctx, client, "eth_getTransactionByHash", unknown); err != nil || wire != nil {
+		t.Fatalf("unknown hash: %+v, %v, want a null result", wire, err)
 	}
 }
 

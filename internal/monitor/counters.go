@@ -86,6 +86,9 @@ type Stats struct {
 	Cursor uint64 `json:"cursor"`
 	// Polls counts head polls, including no-op ones.
 	Polls uint64 `json:"polls"`
+	// Wakes counts polls a newHeads notification started early (zero, and
+	// omitted, without a working subscription).
+	Wakes uint64 `json:"wakes,omitempty"`
 	// BlocksSeen counts blocks scanned past the cursor.
 	BlocksSeen uint64 `json:"blocks_seen"`
 	// ContractsSeen counts deployments observed in scanned blocks.

@@ -35,6 +35,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/phishinghook/phishinghook/internal/ethrpc"
@@ -85,7 +86,8 @@ type Config struct {
 	Hedge time.Duration
 	// ExplorerURL is the registry service listing deployments per block.
 	ExplorerURL string
-	// PollInterval is the head-poll cadence (default 100ms).
+	// PollInterval is the longest wait for the next head poll when no
+	// newHeads notification arrives first (default 100ms).
 	PollInterval time.Duration
 	// QueueSize bounds the fetch→score queue (default 1024). The queue can
 	// never exceed this cap; it is the pipeline's memory bound.
@@ -188,6 +190,8 @@ type Watcher struct {
 
 	// lastCkpt is touched only by the Run goroutine.
 	lastCkpt time.Time
+	// wakes counts polls a notification started.
+	wakes atomic.Uint64
 
 	mu     sync.Mutex
 	cursor uint64
@@ -265,12 +269,15 @@ func (w *Watcher) Endpoints() []ethrpc.EndpointStats { return w.rpc.Stats() }
 func (w *Watcher) Stats() Stats {
 	s := w.pipe.Stats()
 	s.Cursor = w.Cursor()
+	s.Wakes = w.wakes.Load()
 	return s
 }
 
 // Run follows the head until the context is cancelled or the cursor reaches
 // cfg.StopAtBlock. It owns the pipeline's pools; call it at most once per
-// Watcher.
+// Watcher. Caught up, it polls again after PollInterval or as soon as a
+// newHeads notification arrives, whichever comes first; after a failed
+// poll or scan it waits the full interval.
 func (w *Watcher) Run(ctx context.Context) error {
 	w.pipe.Start(ctx)
 	defer func() {
@@ -281,6 +288,9 @@ func (w *Watcher) Run(ctx context.Context) error {
 			w.saveCheckpointNow()
 		}
 	}()
+	subCtx, unsubscribe := context.WithCancel(ctx)
+	defer unsubscribe()
+	wake := w.rpc.Subscribe(subCtx, ethrpc.NewHeads)
 
 	for {
 		w.pipe.ctr.polls.Add(1)
@@ -301,7 +311,7 @@ func (w *Watcher) Run(ctx context.Context) error {
 			if span := w.cfg.WindowBlocks; to-from+1 > span {
 				to = from + span - 1
 			}
-			if err := w.scanWindow(ctx, from, to); err != nil {
+			if err = w.scanWindow(ctx, from, to); err != nil {
 				if ctx.Err() != nil {
 					return ctx.Err()
 				}
@@ -318,11 +328,31 @@ func (w *Watcher) Run(ctx context.Context) error {
 		if stop := w.cfg.StopAtBlock; stop > 0 && w.Cursor() >= stop {
 			return nil
 		}
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-time.After(w.cfg.PollInterval):
+		idle := wake
+		if err != nil {
+			idle = nil // a fault backs off the full interval, as without push
 		}
+		if !w.sleep(ctx, idle) {
+			return ctx.Err()
+		}
+	}
+}
+
+// sleep waits one poll interval, or less when wake fires first (a nil wake
+// never does), reporting false when the context died. The timer is stopped
+// on return: a wake-cut wait must not leave it pending for the rest of
+// PollInterval.
+func (w *Watcher) sleep(ctx context.Context, wake <-chan struct{}) bool {
+	t := time.NewTimer(w.cfg.PollInterval)
+	defer t.Stop()
+	select {
+	case <-ctx.Done():
+		return false
+	case <-wake:
+		w.wakes.Add(1)
+		return true
+	case <-t.C:
+		return true
 	}
 }
 

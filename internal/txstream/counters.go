@@ -10,6 +10,7 @@ import (
 // atomics: the poll loop and the score pool both write them.
 type counters struct {
 	polls       atomic.Uint64
+	wakes       atomic.Uint64
 	txsSeen     atomic.Uint64
 	txsScored   atomic.Uint64
 	dedupHits   atomic.Uint64
@@ -32,6 +33,9 @@ type Stats struct {
 	Cursor uint64 `json:"cursor"`
 	// Polls counts feed polls, including empty ones.
 	Polls uint64 `json:"polls"`
+	// Wakes counts polls a newPendingTransactions notification started
+	// early (zero, and omitted, without a working subscription).
+	Wakes uint64 `json:"wakes,omitempty"`
 	// TxsSeen counts transactions delivered by the feed (pre-dedup).
 	TxsSeen uint64 `json:"txs_seen"`
 	// TxsScored counts transactions actually run through the fused scorer.

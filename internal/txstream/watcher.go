@@ -33,7 +33,8 @@ type Config struct {
 	// Hedge re-issues straggling RPC requests on a second endpoint after
 	// this delay (multi-endpoint only; 0 disables).
 	Hedge time.Duration
-	// PollInterval is the feed-poll cadence when a poll comes back empty
+	// PollInterval is the longest wait for the next feed poll after an
+	// empty one when no newPendingTransactions notification arrives first
 	// (default 50ms — mempool cadence, not block cadence). Non-empty polls
 	// chain immediately to drain backlog at plane speed.
 	PollInterval time.Duration
@@ -209,6 +210,7 @@ func (w *Watcher) Stats() Stats {
 		ModelVersion:    version,
 		Cursor:          cursor,
 		Polls:           w.ctr.polls.Load(),
+		Wakes:           w.ctr.wakes.Load(),
 		TxsSeen:         w.ctr.txsSeen.Load(),
 		TxsScored:       w.ctr.txsScored.Load(),
 		DedupHits:       w.ctr.dedupHits.Load(),
@@ -227,12 +229,17 @@ func (w *Watcher) Stats() Stats {
 
 // Run drains the feed until the context is cancelled or (with StopAtBlock
 // set) the feed is empty and the head has reached StopAtBlock. Call it at
-// most once per Watcher.
+// most once per Watcher. After an empty poll it polls again after
+// PollInterval or as soon as a newPendingTransactions notification arrives,
+// whichever comes first; after a fault it waits the full interval.
 func (w *Watcher) Run(ctx context.Context) error {
 	feed, err := w.rpc.OpenTxFeed(ctx, w.Cursor()+1)
 	if err != nil {
 		return err
 	}
+	subCtx, unsubscribe := context.WithCancel(ctx)
+	defer unsubscribe()
+	wake := w.rpc.Subscribe(subCtx, ethrpc.NewPendingTransactions)
 	defer func() {
 		// Best-effort uninstall on a context that still works after cancel.
 		closeCtx, cancel := context.WithTimeout(context.Background(), time.Second)
@@ -269,7 +276,7 @@ func (w *Watcher) Run(ctx context.Context) error {
 					return ctx.Err()
 				}
 				w.ctr.errors.Add(1)
-				if !w.sleep(ctx) {
+				if !w.sleep(ctx, nil) {
 					return ctx.Err()
 				}
 				continue
@@ -279,7 +286,7 @@ func (w *Watcher) Run(ctx context.Context) error {
 			continue
 		default:
 			w.ctr.errors.Add(1)
-			if !w.sleep(ctx) {
+			if !w.sleep(ctx, nil) {
 				return ctx.Err()
 			}
 			continue
@@ -302,7 +309,7 @@ func (w *Watcher) Run(ctx context.Context) error {
 					return ctx.Err()
 				}
 			}
-			if !w.sleep(ctx) {
+			if !w.sleep(ctx, wake) {
 				return ctx.Err()
 			}
 			continue
@@ -331,12 +338,20 @@ func (w *Watcher) Run(ctx context.Context) error {
 	}
 }
 
-// sleep waits one poll interval, reporting false when the context died.
-func (w *Watcher) sleep(ctx context.Context) bool {
+// sleep waits one poll interval, or less when wake fires first (a nil wake,
+// the fault backoff, never does), reporting false when the context died.
+// The timer is stopped on return: a wake-cut wait must not leave it pending
+// for the rest of PollInterval.
+func (w *Watcher) sleep(ctx context.Context, wake <-chan struct{}) bool {
+	t := time.NewTimer(w.cfg.PollInterval)
+	defer t.Stop()
 	select {
 	case <-ctx.Done():
 		return false
-	case <-time.After(w.cfg.PollInterval):
+	case <-wake:
+		w.ctr.wakes.Add(1)
+		return true
+	case <-t.C:
 		return true
 	}
 }

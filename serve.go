@@ -444,6 +444,7 @@ func writeVersionInfo(e *httpapi.Exposition, name, help, version string) {
 func writeTxSeries(e *httpapi.Exposition, s TxWatcherStats) {
 	e.Metric("phishinghook_tx_cursor_block", "Last block whose visible txs are all judged.", "gauge", float64(s.Cursor))
 	e.Metric("phishinghook_tx_polls_total", "Pending-tx feed polls performed.", "counter", float64(s.Polls))
+	e.Metric("phishinghook_tx_wakes_total", "Feed polls a newPendingTransactions notification started early.", "counter", float64(s.Wakes))
 	e.Metric("phishinghook_tx_seen_total", "Transactions delivered by the feed.", "counter", float64(s.TxsSeen))
 	e.Metric("phishinghook_tx_scored_total", "Transactions run through the fused scorer.", "counter", float64(s.TxsScored))
 	e.Metric("phishinghook_tx_dedup_hits_total", "Feed replays skipped as already judged.", "counter", float64(s.DedupHits))
@@ -462,6 +463,7 @@ func writeTxSeries(e *httpapi.Exposition, s TxWatcherStats) {
 func writeMonitorSeries(e *httpapi.Exposition, s WatcherStats) {
 	e.Metric("phishinghook_monitor_cursor_block", "Last fully scored block.", "gauge", float64(s.Cursor))
 	e.Metric("phishinghook_monitor_polls_total", "Head polls performed.", "counter", float64(s.Polls))
+	e.Metric("phishinghook_monitor_wakes_total", "Head polls a newHeads notification started early.", "counter", float64(s.Wakes))
 	e.Metric("phishinghook_monitor_blocks_seen_total", "Blocks scanned.", "counter", float64(s.BlocksSeen))
 	e.Metric("phishinghook_monitor_contracts_seen_total", "Deployments observed.", "counter", float64(s.ContractsSeen))
 	e.Metric("phishinghook_monitor_contracts_scored_total", "Deployments scored.", "counter", float64(s.ContractsScored))
