@@ -2,7 +2,6 @@ package monitor
 
 import (
 	"context"
-	"encoding/hex"
 	"fmt"
 	"sync"
 	"time"
@@ -128,9 +127,8 @@ type Backfill struct {
 	rpc  *ethrpc.MultiClient
 	reg  *explorer.Crawler
 
-	mu       sync.Mutex
-	shards   []shard
-	lastCkpt time.Time
+	mu     sync.Mutex
+	shards []shard
 }
 
 // NewBackfill builds a backfill over the given scorer, resuming shard
@@ -150,7 +148,8 @@ func NewBackfill(scorer Scorer, cfg BackfillConfig) (*Backfill, error) {
 	if err != nil {
 		return nil, err
 	}
-	pipe, err := NewPipeline(scorer, rpc, PipelineConfig{
+	progress := NewProgress(cfg.CheckpointPath, cfg.CheckpointEvery, "")
+	pipe, err := newPipeline(scorer, rpc, PipelineConfig{
 		QueueSize:    cfg.QueueSize,
 		ScoreWorkers: cfg.ScoreWorkers,
 		Fetchers:     cfg.Fetchers,
@@ -158,7 +157,7 @@ func NewBackfill(scorer Scorer, cfg BackfillConfig) (*Backfill, error) {
 		Threshold:    cfg.Threshold,
 		DropWhenFull: cfg.DropWhenFull,
 		Sinks:        cfg.Sinks,
-	})
+	}, progress)
 	if err != nil {
 		return nil, err
 	}
@@ -169,18 +168,13 @@ func NewBackfill(scorer Scorer, cfg BackfillConfig) (*Backfill, error) {
 		reg:    explorer.NewCrawler(cfg.ExplorerURL),
 		shards: partitionRange(cfg.From, cfg.To, cfg.Shards),
 	}
-	if cfg.CheckpointPath != "" {
-		cp, ok, err := loadCheckpoint(cfg.CheckpointPath)
-		if err != nil {
+	m, ok, err := progress.Resume()
+	if err != nil {
+		return nil, err
+	}
+	if ok {
+		if err := b.resumeShards(m.shards); err != nil {
 			return nil, err
-		}
-		if ok {
-			if cp.Modality != "" {
-				return nil, fmt.Errorf("monitor: checkpoint %s has modality %q; the backfill cannot resume it", cfg.CheckpointPath, cp.Modality)
-			}
-			if err := b.resumeFrom(cp); err != nil {
-				return nil, err
-			}
 		}
 	}
 	return b, nil
@@ -203,31 +197,26 @@ func partitionRange(from, to uint64, n int) []shard {
 	return out
 }
 
-// resumeFrom installs a checkpoint. A checkpoint carrying shard marks must
-// describe the same overall range, tiled in order with neither gap nor
-// overlap (each mark starts the block after the previous one ends); its
-// shard layout then wins over the configured Shards count (cursors are
-// only meaningful against the layout that produced them). A plain watcher
-// checkpoint (no shards) contributes just its dedup set — scans restart
-// from scratch but already-judged bytecodes still collapse into dedup hits.
-func (b *Backfill) resumeFrom(cp checkpoint) error {
-	hashes, err := cp.decodeSeen()
-	if err != nil {
-		return fmt.Errorf("monitor: checkpoint %s: %w", b.cfg.CheckpointPath, err)
-	}
-	b.pipe.restoreSeen(hashes, cp.ModelVersion)
-	if len(cp.Shards) == 0 {
+// resumeShards installs a checkpoint's shard marks. Marks must describe the
+// same overall range, tiled in order with neither gap nor overlap (each
+// mark starts the block after the previous one ends); their layout then
+// wins over the configured Shards count (cursors are only meaningful
+// against the layout that produced them). A plain watcher checkpoint (no
+// marks) contributes just its judged set — scans restart from scratch but
+// already-judged bytecodes still collapse into dedup hits.
+func (b *Backfill) resumeShards(marks []shardMark) error {
+	if len(marks) == 0 {
 		return nil
 	}
-	first := cp.Shards[0].From
-	last := cp.Shards[len(cp.Shards)-1].To
+	first := marks[0].From
+	last := marks[len(marks)-1].To
 	if first != b.cfg.From || last != b.cfg.To {
 		return fmt.Errorf("monitor: checkpoint %s covers blocks [%d, %d], not the requested [%d, %d] — pick a fresh checkpoint path for a new range",
 			b.cfg.CheckpointPath, first, last, b.cfg.From, b.cfg.To)
 	}
-	shards := make([]shard, len(cp.Shards))
+	shards := make([]shard, len(marks))
 	next := b.cfg.From
-	for i, m := range cp.Shards {
+	for i, m := range marks {
 		if m.From != next || m.From > m.To || m.Cursor < m.From-1 || m.Cursor > m.To {
 			return fmt.Errorf("monitor: checkpoint %s shard %d has inconsistent marks [%d, %d] cursor %d (the range continues at block %d)",
 				b.cfg.CheckpointPath, i, m.From, m.To, m.Cursor, next)
@@ -261,7 +250,7 @@ func (b *Backfill) cursorLocked() uint64 {
 	return cur
 }
 
-// SeenUnique returns the size of the bytecode dedup set.
+// SeenUnique returns the number of judged bytecode hashes.
 func (b *Backfill) SeenUnique() int { return b.pipe.SeenUnique() }
 
 // ModelVersion returns the lifecycle version of the most recent score.
@@ -291,10 +280,10 @@ func (b *Backfill) Run(ctx context.Context) error {
 	defer func() {
 		b.pipe.Stop()
 		// Final checkpoint after the score pool drains: jobs that were still
-		// in flight at cancellation failed (and were un-remembered), so the
+		// in flight at cancellation failed (and were released), so the
 		// snapshot only ever claims completed work.
-		if b.cfg.CheckpointPath != "" {
-			b.saveCheckpointNow()
+		if err := b.pipe.progress.Flush(b.mark); err != nil {
+			b.pipe.ctr.errors.Add(1)
 		}
 	}()
 
@@ -383,41 +372,19 @@ func (b *Backfill) scanWindow(ctx context.Context, from, to uint64) error {
 func (b *Backfill) advanceShard(i int, cursor uint64) {
 	b.mu.Lock()
 	b.shards[i].cursor = cursor
-	persist := b.cfg.CheckpointPath != "" && time.Since(b.lastCkpt) >= b.cfg.CheckpointEvery
-	if persist {
-		b.lastCkpt = time.Now()
-	}
 	b.mu.Unlock()
-	if persist {
-		b.saveCheckpointNow()
+	if err := b.pipe.progress.Tick(b.mark); err != nil {
+		b.pipe.ctr.errors.Add(1)
 	}
 }
 
-// saveCheckpointNow snapshots shard cursors + dedup set and writes the
-// checkpoint. Cursors are snapshotted BEFORE the dedup set: a shard
-// committing a window between the two snapshots then contributes extra
-// scored hashes (harmless — the uncommitted window rescans into dedup hits
-// after a restart), whereas the reverse order could record a cursor whose
-// window's hashes are missing from the snapshot and re-score them. Hash
-// copying happens under locks; hex encoding, JSON marshalling and the file
-// write run outside them.
-func (b *Backfill) saveCheckpointNow() {
+// mark snapshots the shard cursors for a checkpoint.
+func (b *Backfill) mark() Mark {
 	b.mu.Lock()
-	cp := checkpoint{
-		Cursor: b.cursorLocked(),
-		Shards: make([]shardMark, len(b.shards)),
-	}
+	defer b.mu.Unlock()
+	m := Mark{Cursor: b.cursorLocked(), shards: make([]shardMark, len(b.shards))}
 	for i, sh := range b.shards {
-		cp.Shards[i] = shardMark{From: sh.from, To: sh.to, Cursor: sh.cursor}
+		m.shards[i] = shardMark{From: sh.from, To: sh.to, Cursor: sh.cursor}
 	}
-	b.mu.Unlock()
-	hashes, version := b.pipe.snapshotSeen()
-	cp.ModelVersion = version
-	cp.Seen = make([]string, len(hashes))
-	for i, h := range hashes {
-		cp.Seen[i] = hex.EncodeToString(h[:])
-	}
-	if err := saveCheckpoint(b.cfg.CheckpointPath, cp); err != nil {
-		b.pipe.ctr.errors.Add(1)
-	}
+	return m
 }

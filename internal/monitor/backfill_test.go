@@ -14,6 +14,7 @@ import (
 	"github.com/phishinghook/phishinghook/internal/chain"
 	"github.com/phishinghook/phishinghook/internal/ethrpc"
 	"github.com/phishinghook/phishinghook/internal/explorer"
+	"github.com/phishinghook/phishinghook/internal/lifecycle"
 	"github.com/phishinghook/phishinghook/internal/synth"
 )
 
@@ -378,4 +379,78 @@ func FuzzBackfillResume(f *testing.F) {
 			t.Fatalf("resumed shards end at block %d, want %d", next-1, to)
 		}
 	})
+}
+
+// TestBackfillCheckpointsNeverRegress makes every shard window due for a
+// save and holds the first save in the write path. No save may publish fewer
+// judged hashes, or a lower shard cursor, than the file it replaces: a stale
+// snapshot landing over a newer one would make a resumed backfill rescore
+// and re-alert work it already judged.
+func TestBackfillCheckpointsNeverRegress(t *testing.T) {
+	_, scorer, cfg := backfillHarness(t, 94, 1)
+	cfg.Shards = 4
+	cfg.CheckpointPath = filepath.Join(t.TempDir(), "backfill.json")
+	cfg.CheckpointEvery = time.Nanosecond
+
+	// onDisk reads the file a save replaces: the primary, or the .good copy
+	// the save has just rotated it to.
+	onDisk := func() (checkpoint, bool) {
+		for _, p := range []string{cfg.CheckpointPath, cfg.CheckpointPath + lastGoodSuffix} {
+			if blob, err := os.ReadFile(p); err == nil {
+				if cp, err := decodeCheckpoint(p, blob); err == nil {
+					return cp, true
+				}
+			}
+		}
+		return checkpoint{}, false
+	}
+	var saves atomic.Int64
+	lifecycle.SetWriteFault(func(path string, blob []byte) ([]byte, error) {
+		if path != cfg.CheckpointPath {
+			return blob, nil
+		}
+		next, err := decodeCheckpoint(path, blob)
+		if err != nil {
+			t.Errorf("save about to publish an undecodable checkpoint: %v", err)
+			return blob, nil
+		}
+		if saves.Add(1) == 1 {
+			for deadline := time.Now().Add(500 * time.Millisecond); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+				if cur, ok := onDisk(); ok && len(cur.Seen) > len(next.Seen) {
+					break
+				}
+			}
+		}
+		cur, ok := onDisk()
+		if !ok {
+			return blob, nil
+		}
+		if len(next.Seen) < len(cur.Seen) {
+			t.Errorf("save publishes %d judged hashes over a file holding %d", len(next.Seen), len(cur.Seen))
+		}
+		for i := range cur.Shards {
+			if i < len(next.Shards) && next.Shards[i].Cursor < cur.Shards[i].Cursor {
+				t.Errorf("save publishes shard %d cursor %d over %d", i, next.Shards[i].Cursor, cur.Shards[i].Cursor)
+			}
+		}
+		return blob, nil
+	})
+	t.Cleanup(func() { lifecycle.SetWriteFault(nil) })
+
+	b, err := NewBackfill(scorer, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	if err := b.Run(ctx); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if n := saves.Load(); n < 2 {
+		t.Fatalf("%d checkpoint saves, want the held first save and a final one", n)
+	}
+	final, ok := onDisk()
+	if !ok || len(final.Seen) != b.SeenUnique() {
+		t.Fatalf("final checkpoint holds %d judged hashes, want %d (ok=%v)", len(final.Seen), b.SeenUnique(), ok)
+	}
 }

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/crc32"
+	"io/fs"
 	"os"
 
 	"github.com/phishinghook/phishinghook/internal/lifecycle"
@@ -132,85 +134,37 @@ func saveCheckpoint(path string, cp checkpoint) error {
 	return nil
 }
 
-// loadCheckpoint reads a checkpoint; a missing file returns ok=false with no
-// error (a fresh watcher). A file that fails CRC or parse validation falls
-// back to the retained last-good copy: the caller resumes from the older
-// cursor (a bounded rescan — dedup keeps alerting exactly-once) instead of
-// refusing to start.
+// loadCheckpoint reads a checkpoint. With neither the file nor its .good
+// copy present it returns ok=false and no error (a fresh loop). A file that
+// fails CRC or parse validation falls back to the retained last-good copy:
+// the caller resumes from the older cursor (a bounded rescan — dedup keeps
+// alerting exactly-once) instead of refusing to start. The primary may also
+// be missing mid-rotation (a crash between the rename and the publish), and
+// the last-good copy resumes then too. When the copy that would resume is
+// damaged as well the validation error is returned: starting fresh would
+// rescan from the start block and re-alert on history.
 func loadCheckpoint(path string) (checkpoint, bool, error) {
-	blob, err := os.ReadFile(path)
-	if os.IsNotExist(err) {
-		// The primary may be missing mid-rotation (crash between rename and
-		// publish); the last-good copy still resumes us.
-		if prev, gerr := os.ReadFile(path + lastGoodSuffix); gerr == nil {
-			cp, derr := decodeCheckpoint(path+lastGoodSuffix, prev)
-			if derr == nil {
-				return cp, true, nil
-			}
-		}
-		return checkpoint{}, false, nil
-	}
-	if err != nil {
-		return checkpoint{}, false, fmt.Errorf("monitor: read checkpoint: %w", err)
-	}
-	cp, derr := decodeCheckpoint(path, blob)
-	if derr == nil {
+	cp, err := readCheckpoint(path)
+	if err == nil {
 		return cp, true, nil
 	}
-	if prev, gerr := os.ReadFile(path + lastGoodSuffix); gerr == nil {
-		if good, gderr := decodeCheckpoint(path+lastGoodSuffix, prev); gderr == nil {
-			return good, true, nil
-		}
+	good, gerr := readCheckpoint(path + lastGoodSuffix)
+	switch {
+	case gerr == nil:
+		return good, true, nil
+	case !errors.Is(err, fs.ErrNotExist):
+		return checkpoint{}, false, err
+	case !errors.Is(gerr, fs.ErrNotExist):
+		return checkpoint{}, false, gerr
 	}
-	return checkpoint{}, false, derr
+	return checkpoint{}, false, nil
 }
 
-// txModality is the tx watcher's checkpoint marker.
-const txModality = "tx"
-
-// TxCheckpoint is the transaction watcher's persisted state: the last block
-// whose visible txs have all been durably judged, plus the tx-hash dedup set
-// that makes alerting exactly-once across restarts. It shares the contract
-// checkpoint's file format (same version, Modality = "tx"), so the atomic
-// temp+fsync+rename write path and the backward-compatibility story are one
-// implementation.
-type TxCheckpoint struct {
-	// Cursor is the last fully judged block.
-	Cursor uint64
-	// ModelVersion attributes the judged prefix to a lifecycle version.
-	ModelVersion string
-	// Seen are the durably judged tx hashes.
-	Seen [][32]byte
-}
-
-// SaveTxCheckpoint atomically persists a tx watcher checkpoint.
-func SaveTxCheckpoint(path string, tc TxCheckpoint) error {
-	cp := checkpoint{
-		Cursor:       tc.Cursor,
-		ModelVersion: tc.ModelVersion,
-		Modality:     txModality,
-		Seen:         make([]string, len(tc.Seen)),
-	}
-	for i, h := range tc.Seen {
-		cp.Seen[i] = hex.EncodeToString(h[:])
-	}
-	return saveCheckpoint(path, cp)
-}
-
-// LoadTxCheckpoint reads a tx watcher checkpoint; a missing file returns
-// ok=false with no error. A contract-modality checkpoint at the same path is
-// refused — the cursors index different logs.
-func LoadTxCheckpoint(path string) (TxCheckpoint, bool, error) {
-	cp, ok, err := loadCheckpoint(path)
-	if err != nil || !ok {
-		return TxCheckpoint{}, false, err
-	}
-	if cp.Modality != txModality {
-		return TxCheckpoint{}, false, fmt.Errorf("monitor: checkpoint %s has modality %q, want %q", path, cp.Modality, txModality)
-	}
-	seen, err := cp.decodeSeen()
+// readCheckpoint reads and validates one checkpoint file.
+func readCheckpoint(path string) (checkpoint, error) {
+	blob, err := os.ReadFile(path)
 	if err != nil {
-		return TxCheckpoint{}, false, fmt.Errorf("monitor: checkpoint %s: %w", path, err)
+		return checkpoint{}, fmt.Errorf("monitor: read checkpoint: %w", err)
 	}
-	return TxCheckpoint{Cursor: cp.Cursor, ModelVersion: cp.ModelVersion, Seen: seen}, true, nil
+	return decodeCheckpoint(path, blob)
 }

@@ -149,3 +149,25 @@ func TestCheckpointLegacyNoTrailerLoads(t *testing.T) {
 		t.Fatalf("legacy checkpoint refused: %+v, %v, %v", cp, ok, err)
 	}
 }
+
+// TestCheckpointMissingPrimaryDamagedLastGood: with the primary gone and the
+// .good copy damaged there is nothing valid to resume from. Starting fresh
+// would rescan from StartBlock and re-alert on history, so the loader must
+// refuse with the validation error, as it does for a damaged primary.
+func TestCheckpointMissingPrimaryDamagedLastGood(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "cp")
+	mustSave(t, path, 10)
+	blob, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path+lastGoodSuffix, blob[:len(blob)/2], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(path); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok, err := loadCheckpoint(path); err == nil || ok {
+		t.Fatalf("missing primary with a damaged .good loaded: ok=%v err=%v", ok, err)
+	}
+}

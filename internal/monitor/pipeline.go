@@ -113,9 +113,9 @@ const maxScoreRetries = 3
 // pool), and Stop it after the last Scan returns.
 //
 // Guarantees, per Scan: every address is fetched, deduplicated by bytecode
-// SHA-256 against the pipeline-wide seen set, and every unique bytecode is
+// SHA-256 against the pipeline-wide Progress, and every unique bytecode is
 // scored (or shed under the drop policy) before Scan returns. A fetch or
-// score failure fails the Scan and un-remembers the affected hashes so the
+// score failure fails the Scan and releases the affected claims so the
 // caller's rescan re-judges exactly them — scans are at-least-once, scores
 // exactly-once per unique bytecode.
 type Pipeline struct {
@@ -134,20 +134,22 @@ type Pipeline struct {
 	chunkPool sync.Pool
 	statePool sync.Pool
 
-	mu sync.Mutex
-	// seen is the bytecode dedup set. The value marks durability: false
-	// while the job is merely enqueued (dedup must already hold so clones
-	// don't double-enqueue), true once the scorer has actually judged it.
-	// Checkpoints persist only the true entries — a hash whose score was
-	// still in flight at a kill must be re-scored after restart, not
-	// collapsed into a dedup hit against work that never happened.
-	seen        map[[32]byte]bool
-	scoreFail   map[[32]byte]int // consecutive score failures per bytecode
-	lastVersion string           // model version of the most recent score
+	// progress is the bytecode dedup set: a hash is claimed while its job is
+	// enqueued (so clones don't double-enqueue) and judged once scored.
+	progress *Progress
+
+	mu        sync.Mutex
+	scoreFail map[[32]byte]int // consecutive score failures per bytecode
 }
 
-// NewPipeline builds a pipeline over the given scorer and fetch plane.
+// NewPipeline builds a pipeline over the given scorer and fetch plane, with
+// an in-memory dedup set.
 func NewPipeline(scorer Scorer, fetch CodeFetcher, cfg PipelineConfig) (*Pipeline, error) {
+	return newPipeline(scorer, fetch, cfg, NewProgress("", 0, ""))
+}
+
+// newPipeline builds a pipeline whose dedup set is the owner's progress.
+func newPipeline(scorer Scorer, fetch CodeFetcher, cfg PipelineConfig, progress *Progress) (*Pipeline, error) {
 	if scorer == nil {
 		return nil, fmt.Errorf("monitor: nil scorer")
 	}
@@ -161,7 +163,7 @@ func NewPipeline(scorer Scorer, fetch CodeFetcher, cfg PipelineConfig) (*Pipelin
 		rpc:       fetch,
 		queue:     make(chan scoreJob, cfg.QueueSize),
 		feed:      make(chan *fetchChunk, cfg.Fetchers),
-		seen:      make(map[[32]byte]bool),
+		progress:  progress,
 		scoreFail: make(map[[32]byte]int),
 	}
 	p.chunkPool.New = func() any {
@@ -248,8 +250,7 @@ func (p *Pipeline) Scan(ctx context.Context, addrs []string, head uint64) error 
 	st.jobs.Wait()
 	// Deployments must never be silently lost: a fetch or score failure
 	// fails the scan so the caller's cursor stays put and the range retries
-	// (failed scores were un-remembered, so the retry re-scores exactly
-	// them).
+	// (failed scores were released, so the retry re-scores exactly them).
 	st.mu.Lock()
 	fetchErr := st.fetchErr
 	st.mu.Unlock()
@@ -317,40 +318,42 @@ func (p *Pipeline) ingest(ctx context.Context, a string, code []byte, head uint6
 	}
 	hash := sha256.Sum256(code)
 	job := scoreJob{addr: a, hash: hash, code: code, head: head, state: st}
-	p.mu.Lock()
-	if _, dup := p.seen[hash]; dup {
-		p.mu.Unlock()
-		p.ctr.dedupHits.Add(1)
-		return
-	}
 	if p.cfg.DropWhenFull {
-		// Decide enqueue-or-shed and (un)remember the hash in one critical
-		// section, so a concurrent clone can never record a dedup hit
-		// against a deployment that ends up shed and unscored.
-		st.jobs.Add(1)
-		select {
-		case p.queue <- job:
-			p.seen[hash] = false
-			p.mu.Unlock()
-		default:
-			p.mu.Unlock()
-			st.jobs.Done()
-			p.ctr.dropped.Add(1)
+		// Enqueue-or-shed runs inside the claim, so a concurrent clone can
+		// never record a dedup hit against a deployment that ends up shed
+		// and unscored.
+		shed := false
+		if !p.progress.Claim(hash, func() bool {
+			st.jobs.Add(1)
+			select {
+			case p.queue <- job:
+				return true
+			default:
+				st.jobs.Done()
+				shed = true
+				return false
+			}
+		}) {
+			if shed {
+				p.ctr.dropped.Add(1)
+			} else {
+				p.ctr.dedupHits.Add(1)
+			}
 		}
 		return
 	}
-	p.seen[hash] = false
-	p.mu.Unlock()
+	if !p.progress.Claim(hash, nil) {
+		p.ctr.dedupHits.Add(1)
+		return
+	}
 	st.jobs.Add(1)
 	select {
 	case p.queue <- job: // backpressure: block until the score pool drains
 	case <-ctx.Done():
 		st.jobs.Done()
-		// Never scored: un-remember the hash so the post-restart rescan
+		// Never scored: release the claim so the post-restart rescan
 		// doesn't collapse this deployment into a dedup hit.
-		p.mu.Lock()
-		delete(p.seen, hash)
-		p.mu.Unlock()
+		p.progress.Release(hash)
 	}
 }
 
@@ -362,33 +365,31 @@ func (p *Pipeline) scoreLoop() {
 		p.ctr.latency.Observe(time.Since(t0))
 		if err != nil {
 			p.ctr.errors.Add(1)
-			// Un-remember the hash and fail the scan: the deployment was
-			// never judged, so the rescan (or a future clone) must get
-			// another chance instead of collapsing into a dedup hit. After
+			// Release the claim and fail the scan: the deployment was never
+			// judged, so the rescan (or a future clone) must get another
+			// chance instead of collapsing into a dedup hit. After
 			// maxScoreRetries consecutive failures the bytecode is a poison
-			// pill: abandon it (hash stays in the dedup set) so the range
-			// can commit and coverage continues.
+			// pill: judge it unscored (persisted, never re-attempted after a
+			// restart) so the range can commit and coverage continues.
 			p.mu.Lock()
 			p.scoreFail[job.hash]++
 			abandoned := p.scoreFail[job.hash] >= maxScoreRetries
 			if abandoned {
 				delete(p.scoreFail, job.hash)
-				p.seen[job.hash] = true // persists: don't re-attempt after restart
-			} else {
-				delete(p.seen, job.hash)
 			}
 			p.mu.Unlock()
 			if abandoned {
+				p.progress.Judge(job.hash, "")
 				p.ctr.poisoned.Add(1)
 			} else {
+				p.progress.Release(job.hash)
 				job.state.failed.Store(true)
 			}
 		} else {
 			p.mu.Lock()
 			delete(p.scoreFail, job.hash)
-			p.seen[job.hash] = true // judged: safe to persist and dedup forever
-			p.lastVersion = v.Version
 			p.mu.Unlock()
+			p.progress.Judge(job.hash, v.Version)
 			p.ctr.contractsScored.Add(1)
 			if v.Phishing && v.Confidence >= p.cfg.Threshold {
 				p.emit(Alert{
@@ -416,47 +417,12 @@ func (p *Pipeline) emit(a Alert) {
 	}
 }
 
-// SeenUnique returns the size of the bytecode dedup set.
-func (p *Pipeline) SeenUnique() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.seen)
-}
+// SeenUnique returns the number of judged bytecode hashes.
+func (p *Pipeline) SeenUnique() int { return p.progress.SeenUnique() }
 
 // ModelVersion returns the lifecycle version of the most recent successful
-// score ("" before the first score of an unversioned scorer).
-func (p *Pipeline) ModelVersion() string {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.lastVersion
-}
-
-// snapshotSeen copies the dedup set and model version for checkpointing.
-// Only the raw hash copy happens under the lock — hex encoding, JSON
-// marshalling and the file write belong outside it so fetchers' dedup checks
-// never stall on checkpoint I/O.
-func (p *Pipeline) snapshotSeen() ([][32]byte, string) {
-	p.mu.Lock()
-	hashes := make([][32]byte, 0, len(p.seen))
-	for h, scored := range p.seen {
-		if scored {
-			hashes = append(hashes, h)
-		}
-	}
-	version := p.lastVersion
-	p.mu.Unlock()
-	return hashes, version
-}
-
-// restoreSeen installs a checkpoint's dedup set and model version.
-func (p *Pipeline) restoreSeen(hashes [][32]byte, version string) {
-	p.mu.Lock()
-	for _, h := range hashes {
-		p.seen[h] = true
-	}
-	p.lastVersion = version
-	p.mu.Unlock()
-}
+// score ("" before the first score of a versioned scorer).
+func (p *Pipeline) ModelVersion() string { return p.progress.ModelVersion() }
 
 // Stats snapshots the pipeline-owned counters. Owners (Watcher, Backfill)
 // overlay their cursor on top.

@@ -32,7 +32,6 @@ package monitor
 
 import (
 	"context"
-	"encoding/hex"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -188,8 +187,6 @@ type Watcher struct {
 	rpc  *ethrpc.MultiClient
 	reg  *explorer.Crawler
 
-	// lastCkpt is touched only by the Run goroutine.
-	lastCkpt time.Time
 	// wakes counts polls a notification started.
 	wakes atomic.Uint64
 
@@ -214,7 +211,8 @@ func New(scorer Scorer, cfg Config) (*Watcher, error) {
 	if err != nil {
 		return nil, err
 	}
-	pipe, err := NewPipeline(scorer, rpc, cfg.pipelineConfig())
+	progress := NewProgress(cfg.CheckpointPath, cfg.CheckpointEvery, "")
+	pipe, err := newPipeline(scorer, rpc, cfg.pipelineConfig(), progress)
 	if err != nil {
 		return nil, err
 	}
@@ -225,22 +223,12 @@ func New(scorer Scorer, cfg Config) (*Watcher, error) {
 		reg:    explorer.NewCrawler(cfg.ExplorerURL),
 		cursor: cfg.StartBlock,
 	}
-	if cfg.CheckpointPath != "" {
-		cp, ok, err := loadCheckpoint(cfg.CheckpointPath)
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			if cp.Modality != "" {
-				return nil, fmt.Errorf("monitor: checkpoint %s has modality %q; the contract watcher cannot resume it", cfg.CheckpointPath, cp.Modality)
-			}
-			w.cursor = cp.Cursor
-			hashes, err := cp.decodeSeen()
-			if err != nil {
-				return nil, fmt.Errorf("monitor: checkpoint %s: %w", cfg.CheckpointPath, err)
-			}
-			pipe.restoreSeen(hashes, cp.ModelVersion)
-		}
+	m, ok, err := progress.Resume()
+	if err != nil {
+		return nil, err
+	}
+	if ok {
+		w.cursor = m.Cursor
 	}
 	return w, nil
 }
@@ -252,7 +240,9 @@ func (w *Watcher) Cursor() uint64 {
 	return w.cursor
 }
 
-// SeenUnique returns the size of the bytecode dedup set.
+func (w *Watcher) mark() Mark { return Mark{Cursor: w.Cursor()} }
+
+// SeenUnique returns the number of judged bytecode hashes.
 func (w *Watcher) SeenUnique() int { return w.pipe.SeenUnique() }
 
 // ModelVersion returns the lifecycle version of the most recent successful
@@ -284,8 +274,8 @@ func (w *Watcher) Run(ctx context.Context) error {
 		w.pipe.Stop()
 		// Final checkpoint after the score pool drains, so a clean stop
 		// (StopAtBlock or cancellation) never loses committed progress.
-		if w.cfg.CheckpointPath != "" {
-			w.saveCheckpointNow()
+		if err := w.pipe.progress.Flush(w.mark); err != nil {
+			w.pipe.ctr.errors.Add(1)
 		}
 	}()
 	subCtx, unsubscribe := context.WithCancel(ctx)
@@ -377,21 +367,7 @@ func (w *Watcher) advanceCursor(head uint64) {
 	w.mu.Lock()
 	w.cursor = head
 	w.mu.Unlock()
-	if w.cfg.CheckpointPath == "" || time.Since(w.lastCkpt) < w.cfg.CheckpointEvery {
-		return
-	}
-	w.saveCheckpointNow()
-}
-
-// saveCheckpointNow snapshots cursor + dedup set and writes the checkpoint.
-func (w *Watcher) saveCheckpointNow() {
-	hashes, version := w.pipe.snapshotSeen()
-	cp := checkpoint{Cursor: w.Cursor(), ModelVersion: version, Seen: make([]string, len(hashes))}
-	for i, h := range hashes {
-		cp.Seen[i] = hex.EncodeToString(h[:])
-	}
-	if err := saveCheckpoint(w.cfg.CheckpointPath, cp); err != nil {
+	if err := w.pipe.progress.Tick(w.mark); err != nil {
 		w.pipe.ctr.errors.Add(1)
 	}
-	w.lastCkpt = time.Now()
 }

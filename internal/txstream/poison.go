@@ -166,7 +166,7 @@ func (w *Watcher) DrainPoison(ctx context.Context) PoisonDrainResult {
 			w.ctr.alerts.Add(1)
 			res.Alerted++
 		}
-		w.markJudged(tx.Hash, v.Version)
+		w.progress.Judge(tx.Hash, v.Version)
 		w.poison.remove(tx.Hash)
 	}
 	return res

@@ -11,6 +11,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -316,7 +317,7 @@ func TestWatcherStopAtBlockDrainsLateTxs(t *testing.T) {
 // mid-stream (from inside the alert path, so scores are genuinely in
 // flight), restarts it from the checkpoint, and verifies the union of both
 // runs alerts on every expected tx exactly once. Run under -race this also
-// exercises the claim/judge/unclaim concurrency.
+// exercises the claim/judge/release concurrency.
 func TestWatcherKillAndResumeExactlyOnce(t *testing.T) {
 	c := testTxChain(t, 700)
 	srv := httptest.NewServer(ethrpc.NewServer(c, 1))
@@ -406,12 +407,12 @@ func TestWatcherRefusesContractCheckpoint(t *testing.T) {
 
 func TestContractWatcherRefusesTxCheckpoint(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "tx.cursor")
-	err := monitor.SaveTxCheckpoint(path, monitor.TxCheckpoint{Cursor: 9, Seen: [][32]byte{{1}}})
-	if err != nil {
+	blob := `{"version":1,"cursor":9,"modality":"tx","seen":["01` + strings.Repeat("00", 31) + `"]}` + "\n"
+	if err := os.WriteFile(path, []byte(blob), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	stub := &stubCodeScorer{v: monitor.Verdict{}}
-	_, err = monitor.New(stub, monitor.Config{
+	_, err := monitor.New(stub, monitor.Config{
 		RPCURL:         "http://127.0.0.1:1",
 		ExplorerURL:    "http://127.0.0.1:1",
 		CheckpointPath: path,

@@ -106,29 +106,21 @@ func (c *Config) endpoints() []string {
 // Watcher drains the pending-transaction feed and judges every tx exactly
 // once: the feed is polled at-least-once (filter replays, reopen-after-
 // failover, restart-from-checkpoint all re-deliver), and a persisted tx-hash
-// dedup set collapses the replays so each hash is scored and alerted at most
-// once across process lifetimes.
-//
-// The in-memory dedup set holds two states per hash: claimed (a score is in
-// flight this batch) and judged (durably decided). Only judged hashes are
-// checkpointed — a kill mid-score leaves the hash out of the snapshot, so
-// the resume replays and judges it exactly once.
+// dedup set (a monitor.Progress) collapses the replays so each hash is
+// scored and alerted at most once across process lifetimes. A hash is
+// claimed while its score is in flight and judged once decided; only judged
+// hashes are checkpointed, so a kill mid-score replays it exactly once.
 type Watcher struct {
-	cfg    Config
-	scorer Scorer
-	rpc    *ethrpc.MultiClient
-	codes  *lru.Cache[chain.Address, []byte]
-	ctr    counters
-	poison *poisonSet
+	cfg      Config
+	scorer   Scorer
+	rpc      *ethrpc.MultiClient
+	codes    *lru.Cache[chain.Address, []byte]
+	ctr      counters
+	poison   *poisonSet
+	progress *monitor.Progress
 
-	mu      sync.Mutex
-	cursor  uint64
-	seen    map[[32]byte]bool // false = claimed (in flight), true = judged
-	judged  int               // count of true entries, for O(1) snapshot sizing
-	version string            // lifecycle version of the latest fused score
-
-	// lastCkpt is touched only by the Run goroutine.
-	lastCkpt time.Time
+	mu     sync.Mutex
+	cursor uint64
 }
 
 // New builds a tx watcher over the given fused scorer, resuming from
@@ -149,27 +141,20 @@ func New(scorer Scorer, cfg Config) (*Watcher, error) {
 		return nil, err
 	}
 	w := &Watcher{
-		cfg:    cfg,
-		scorer: scorer,
-		rpc:    rpc,
-		codes:  lru.New[chain.Address, []byte](cfg.CodeCacheSize),
-		poison: newPoisonSet(),
-		cursor: cfg.StartBlock,
-		seen:   make(map[[32]byte]bool),
+		cfg:      cfg,
+		scorer:   scorer,
+		rpc:      rpc,
+		codes:    lru.New[chain.Address, []byte](cfg.CodeCacheSize),
+		poison:   newPoisonSet(),
+		progress: monitor.NewProgress(cfg.CheckpointPath, cfg.CheckpointEvery, "tx"),
+		cursor:   cfg.StartBlock,
 	}
-	if cfg.CheckpointPath != "" {
-		cp, ok, err := monitor.LoadTxCheckpoint(cfg.CheckpointPath)
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			w.cursor = cp.Cursor
-			w.version = cp.ModelVersion
-			for _, h := range cp.Seen {
-				w.seen[h] = true
-			}
-			w.judged = len(cp.Seen)
-		}
+	m, ok, err := w.progress.Resume()
+	if err != nil {
+		return nil, err
+	}
+	if ok {
+		w.cursor = m.Cursor
 	}
 	return w, nil
 }
@@ -181,20 +166,14 @@ func (w *Watcher) Cursor() uint64 {
 	return w.cursor
 }
 
-// SeenUnique returns the size of the judged tx-hash dedup set.
-func (w *Watcher) SeenUnique() int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.judged
-}
+func (w *Watcher) mark() monitor.Mark { return monitor.Mark{Cursor: w.Cursor()} }
+
+// SeenUnique returns the number of judged tx hashes.
+func (w *Watcher) SeenUnique() int { return w.progress.SeenUnique() }
 
 // ModelVersion returns the lifecycle version behind the most recent fused
 // score (restored from the checkpoint on resume).
-func (w *Watcher) ModelVersion() string {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.version
-}
+func (w *Watcher) ModelVersion() string { return w.progress.ModelVersion() }
 
 // Endpoints snapshots the RPC plane's per-endpoint scheduler state.
 func (w *Watcher) Endpoints() []ethrpc.EndpointStats { return w.rpc.Stats() }
@@ -202,13 +181,10 @@ func (w *Watcher) Endpoints() []ethrpc.EndpointStats { return w.rpc.Stats() }
 // Stats snapshots the watcher's counters.
 func (w *Watcher) Stats() Stats {
 	hits, misses := w.codes.Stats()
-	w.mu.Lock()
-	cursor, judged, version := w.cursor, w.judged, w.version
-	w.mu.Unlock()
 	return Stats{
 		Modality:        "tx",
-		ModelVersion:    version,
-		Cursor:          cursor,
+		ModelVersion:    w.ModelVersion(),
+		Cursor:          w.Cursor(),
 		Polls:           w.ctr.polls.Load(),
 		Wakes:           w.ctr.wakes.Load(),
 		TxsSeen:         w.ctr.txsSeen.Load(),
@@ -219,7 +195,7 @@ func (w *Watcher) Stats() Stats {
 		PoisonPending:   w.poison.len(),
 		Errors:          w.ctr.errors.Load(),
 		FeedReopens:     w.ctr.feedReopens.Load(),
-		SeenUnique:      judged,
+		SeenUnique:      w.SeenUnique(),
 		CodeCacheHits:   hits,
 		CodeCacheMisses: misses,
 		ScoreP50MS:      float64(w.ctr.latency.Quantile(0.50)) / float64(time.Millisecond),
@@ -245,8 +221,8 @@ func (w *Watcher) Run(ctx context.Context) error {
 		closeCtx, cancel := context.WithTimeout(context.Background(), time.Second)
 		feed.Close(closeCtx)
 		cancel()
-		if w.cfg.CheckpointPath != "" {
-			w.saveCheckpointNow()
+		if err := w.progress.Flush(w.mark); err != nil {
+			w.ctr.errors.Add(1)
 		}
 	}()
 
@@ -363,16 +339,13 @@ func (w *Watcher) judgeBatch(ctx context.Context, feed *ethrpc.TxFeed, batch []e
 	// Claim phase: skip hashes already judged or in flight; mark the rest
 	// claimed so a concurrent replay in the same batch cannot double-score.
 	claimed := batch[:0]
-	w.mu.Lock()
 	for i := range batch {
-		if _, ok := w.seen[batch[i].Hash]; ok {
+		if !w.progress.Claim(batch[i].Hash, nil) {
 			w.ctr.dedupHits.Add(1)
 			continue
 		}
-		w.seen[batch[i].Hash] = false
 		claimed = append(claimed, batch[i])
 	}
-	w.mu.Unlock()
 	if len(claimed) == 0 {
 		return ctx.Err()
 	}
@@ -401,13 +374,13 @@ func (w *Watcher) judgeBatch(ctx context.Context, feed *ethrpc.TxFeed, batch []e
 }
 
 // judgeTx fetches the callee's code (through the LRU), runs the fused
-// scorer with a bounded retry, and either alerts + marks the hash judged or
-// poisons it. A context death instead unclaims the hash so the judged set —
+// scorer with a bounded retry, and either alerts + judges the hash or
+// poisons it. A context death instead releases the claim so the judged set —
 // and therefore the checkpoint — never contains an unscored tx; the cursor
 // cannot advance after a cancellation, so the restart replays the hash.
 //
-// A fetch or score fault must NOT unclaim: the server-side filter cursor has
-// already moved past this tx, so it will not be redelivered — an unclaimed
+// A fetch or score fault must NOT release: the server-side filter cursor has
+// already moved past this tx, so it will not be redelivered — a released
 // fault would be silently lost once the block cursor advances. Faults retry
 // here and then poison (judged, never alerted), keeping judging
 // at-least-once and alerting at-most-once.
@@ -417,12 +390,12 @@ func (w *Watcher) judgeTx(ctx context.Context, feed *ethrpc.TxFeed, tx *ethrpc.P
 	var err error
 	for attempt := 0; attempt < scoreAttempts; attempt++ {
 		if ctx.Err() != nil {
-			w.unclaim(tx.Hash)
+			w.progress.Release(tx.Hash)
 			return
 		}
 		if code, err = w.calleeCode(ctx, feed, tx.To); err != nil {
 			if ctx.Err() != nil {
-				w.unclaim(tx.Hash)
+				w.progress.Release(tx.Hash)
 				return
 			}
 			w.ctr.errors.Add(1)
@@ -434,7 +407,7 @@ func (w *Watcher) judgeTx(ctx context.Context, feed *ethrpc.TxFeed, tx *ethrpc.P
 			break
 		}
 		if ctx.Err() != nil {
-			w.unclaim(tx.Hash)
+			w.progress.Release(tx.Hash)
 			return
 		}
 		w.ctr.errors.Add(1)
@@ -445,7 +418,7 @@ func (w *Watcher) judgeTx(ctx context.Context, feed *ethrpc.TxFeed, tx *ethrpc.P
 		// quarantine after fixing the underlying fault.
 		w.ctr.poisoned.Add(1)
 		w.poison.add(*tx, err)
-		w.markJudged(tx.Hash, "")
+		w.progress.Judge(tx.Hash, "")
 		return
 	}
 
@@ -470,7 +443,7 @@ func (w *Watcher) judgeTx(ctx context.Context, feed *ethrpc.TxFeed, tx *ethrpc.P
 		}
 		w.ctr.alerts.Add(1)
 	}
-	w.markJudged(tx.Hash, v.Version)
+	w.progress.Judge(tx.Hash, v.Version)
 }
 
 // calleeCode resolves the callee's deployed bytecode through the LRU; nil
@@ -488,26 +461,6 @@ func (w *Watcher) calleeCode(ctx context.Context, feed *ethrpc.TxFeed, addr chai
 	return code, nil
 }
 
-func (w *Watcher) unclaim(h [32]byte) {
-	w.mu.Lock()
-	if judged, ok := w.seen[h]; ok && !judged {
-		delete(w.seen, h)
-	}
-	w.mu.Unlock()
-}
-
-func (w *Watcher) markJudged(h [32]byte, version string) {
-	w.mu.Lock()
-	if judged, ok := w.seen[h]; !ok || !judged {
-		w.seen[h] = true
-		w.judged++
-	}
-	if version != "" {
-		w.version = version
-	}
-	w.mu.Unlock()
-}
-
 // advanceCursor commits judged progress, persisting at most every
 // CheckpointEvery (plus the final write when Run returns).
 func (w *Watcher) advanceCursor(block uint64) {
@@ -516,32 +469,9 @@ func (w *Watcher) advanceCursor(block uint64) {
 		w.cursor = block
 	}
 	w.mu.Unlock()
-	if w.cfg.CheckpointPath == "" || time.Since(w.lastCkpt) < w.cfg.CheckpointEvery {
-		return
-	}
-	w.saveCheckpointNow()
-}
-
-// saveCheckpointNow snapshots cursor + judged hashes and writes the
-// tx-modality checkpoint. Claimed-but-unjudged hashes are deliberately
-// excluded: a kill mid-score must replay them.
-func (w *Watcher) saveCheckpointNow() {
-	w.mu.Lock()
-	tc := monitor.TxCheckpoint{
-		Cursor:       w.cursor,
-		ModelVersion: w.version,
-		Seen:         make([][32]byte, 0, w.judged),
-	}
-	for h, judged := range w.seen {
-		if judged {
-			tc.Seen = append(tc.Seen, h)
-		}
-	}
-	w.mu.Unlock()
-	if err := monitor.SaveTxCheckpoint(w.cfg.CheckpointPath, tc); err != nil {
+	if err := w.progress.Tick(w.mark); err != nil {
 		w.ctr.errors.Add(1)
 	}
-	w.lastCkpt = time.Now()
 }
 
 // codeHashHex is the alert's dedup-compatible code hash: hex SHA-256 of the

@@ -8,8 +8,6 @@ import (
 	"path/filepath"
 	"regexp"
 	"testing"
-
-	"github.com/phishinghook/phishinghook/internal/monitor"
 )
 
 // uptimeSample matches the two samples that differ between runs: the
@@ -74,7 +72,7 @@ func replicaMetricsHandlers(t *testing.T) (detector, swappable http.Handler) {
 		t.Fatal(err)
 	}
 	txCP := filepath.Join(dir, "tx.cursor")
-	if err := monitor.SaveTxCheckpoint(txCP, monitor.TxCheckpoint{Cursor: 7, ModelVersion: "v-tx"}); err != nil {
+	if err := os.WriteFile(txCP, []byte(`{"version":1,"cursor":7,"model_version":"v-tx","modality":"tx"}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	fused, err := NewFusedTxScorer(det, det)
