@@ -2,6 +2,8 @@ package phishinghook
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -113,4 +115,94 @@ func TestChaosSoakClusterExactlyOnce(t *testing.T) {
 		t.Skip("chaos soak is seconds-long; skipped in -short")
 	}
 	runSoakScenario(t, "cluster")
+}
+
+// TestChaosSoakGates runs the four gated fault plans at seed 1 (unit 250 ms,
+// poll 50 ms). Every attempt of every plan must lose and duplicate no alert.
+// Each plan also has a gate of its own:
+//   - txwatch/soak, everything at once with a mid-run kill: both push-socket
+//     faults fire, or the soak never tested the fall back to polling;
+//   - txwatch/malformed: the plane breaker trips on the garbage streak
+//     instead of letting retries grind on wrong bytes;
+//   - txwatch/blackout: the cursor advances again within 2 polling windows
+//     of the full blackout lifting;
+//   - cluster/replica-hang: the router watchdog ejects the hung replica.
+//
+// Those gates observe wall-clock behaviour, so a miss reruns the whole soak,
+// up to 3 attempts, and they are not asserted under -race. t.Parallel holds
+// the soaks until the package's other tests have run, by when go test ./...
+// has mostly finished the other packages, whose load would land on the
+// recovery measurement.
+func TestChaosSoakGates(t *testing.T) {
+	if testing.Short() {
+		t.Skip("chaos soak is seconds-long; skipped in -short")
+	}
+	t.Parallel()
+	for _, plan := range []struct {
+		scenario, schedule string
+		kill               bool
+		gate               func(*ChaosSoakReport) error
+	}{
+		{"txwatch", "soak", true, func(r *ChaosSoakReport) error {
+			for _, k := range []ChaosKind{chaos.KindSubDrop, chaos.KindSubStall} {
+				if r.Faults[string(k)] == 0 {
+					return fmt.Errorf("%s never fired (faults %v)", k, r.Faults)
+				}
+			}
+			return nil
+		}},
+		{"txwatch", "malformed", false, func(r *ChaosSoakReport) error {
+			if r.BreakerTrips == 0 {
+				return errors.New("no breaker trips on a malformed-response streak")
+			}
+			return nil
+		}},
+		{"txwatch", "blackout", false, func(r *ChaosSoakReport) error {
+			if r.RecoveryMS < 0 {
+				return errors.New("the cursor never advanced after the blackout")
+			}
+			if r.RecoveryPolls > 2 {
+				return fmt.Errorf("recovered in %.1f polling windows, budget 2", r.RecoveryPolls)
+			}
+			return nil
+		}},
+		{"cluster", "replica-hang", false, func(r *ChaosSoakReport) error {
+			if r.WatchdogEjections == 0 {
+				return errors.New("the watchdog never ejected the hung replica")
+			}
+			return nil
+		}},
+	} {
+		t.Run(plan.scenario+"/"+plan.schedule, func(t *testing.T) {
+			for attempt := 1; ; attempt++ {
+				cfg := DefaultChaosSoakConfig(1)
+				cfg.Scenario, cfg.Schedule, cfg.Kill = plan.scenario, plan.schedule, plan.kill
+				cfg.Unit, cfg.PollInterval = 250*time.Millisecond, 50*time.Millisecond
+				cfg.Dir = t.TempDir()
+				rep, err := RunChaosSoak(context.Background(), cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Logf("%d/%d alerts, wal %+v, %d breaker trips, %d ejections, recovery %.1f polls",
+					rep.Alerts, rep.BaselineAlerts, rep.WAL, rep.BreakerTrips, rep.WatchdogEjections, rep.RecoveryPolls)
+				if rep.BaselineAlerts == 0 {
+					t.Fatal("baseline pass produced no alerts; the soak proved nothing")
+				}
+				if rep.Lost != 0 || rep.Duplicates != 0 {
+					t.Fatalf("%d lost and %d duplicate alerts under chaos (baseline %d)", rep.Lost, rep.Duplicates, rep.BaselineAlerts)
+				}
+				if raceEnabled {
+					return
+				}
+				err = plan.gate(rep)
+				if err == nil {
+					return
+				}
+				if attempt == 3 {
+					t.Fatalf("attempt 3/3: %v", err)
+				}
+				t.Logf("attempt %d/3: %v", attempt, err)
+			}
+		})
+	}
 }

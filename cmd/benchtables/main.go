@@ -7,13 +7,12 @@
 //
 //	benchtables [-seed N] [-full] [-only table2,fig8,...] [-n N]
 //
-// Four gated modes each write their rows to the named JSON file and exit
-// non-zero when a gate fails:
+// One gated mode writes its rows to the named JSON file and exits non-zero
+// when its gate fails:
 //
 //	benchtables -lifecycle BENCH_lifecycle.json     swap latency and shadow-mode overhead
-//	benchtables -nn BENCH_nn.json                   compiled flat deep models vs the closure reference
-//	benchtables -adversarial BENCH_adversarial.json evasion attack vs hardened detectors
-//	benchtables -chaos BENCH_chaos.json             pipelines under deterministic fault schedules
+//
+// Every other gate is a go test (go test ./...).
 package main
 
 import (
@@ -35,21 +34,13 @@ func main() {
 	only := flag.String("only", "", "comma-separated artefact list (default: all)")
 	n := flag.Int("n", 0, "override unique-phishing count (quick mode sizing)")
 	lifecycleOut := flag.String("lifecycle", "", "write model-lifecycle benchmarks (swap latency, shadow-mode overhead) to this JSON file and exit (fails if shadow overhead exceeds 10%)")
-	nnOut := flag.String("nn", "", "write deep-model serving benchmarks (closure reference vs compiled flat program) to this JSON file and exit (fails if the flat path allocates, float parity exceeds 1e-6, or the geomean flat speedup regresses below its floor)")
-	adversarialOut := flag.String("adversarial", "", "write adversarial-robustness benchmarks (greedy bytecode-evasion attack vs raw-feature baselines and their canonical+augmented hardened twins) to this JSON file and exit (fails if the baseline resists the attack, the hardened model does not at least halve the evasion rate, clean holdout AUC regresses beyond 0.01, or the cached hardened Score path allocates)")
-	chaosOut := flag.String("chaos", "", "write chaos-soak verdicts (pipelines under deterministic fault schedules: lost/duplicate alerts, breaker trips, post-blackout recovery, watchdog ejections) to this JSON file and exit (fails on any lost or duplicate alert, a missed breaker trip, recovery beyond 2 polling windows, or an unejected hung replica)")
 	flag.Parse()
 
-	for _, m := range []struct {
-		path *string
-		run  func(seed int64, path string) error
-	}{{lifecycleOut, runLifecycle}, {nnOut, runNNBench}, {adversarialOut, runAdversarial}, {chaosOut, runChaosBench}} {
-		if *m.path != "" {
-			if err := m.run(*seed, *m.path); err != nil {
-				log.Fatal(err)
-			}
-			return
+	if *lifecycleOut != "" {
+		if err := runLifecycle(*seed, *lifecycleOut); err != nil {
+			log.Fatal(err)
 		}
+		return
 	}
 
 	want := map[string]bool{}

@@ -11,28 +11,37 @@ import (
 	"testing"
 
 	"github.com/phishinghook/phishinghook/internal/adversary"
+	"github.com/phishinghook/phishinghook/internal/eval"
 	"github.com/phishinghook/phishinghook/internal/txstream"
 )
 
-// trainPair fits the same model twice on the shared corpus: once raw, once
-// hardened (canonical features + adversarial augmentation + telemetry).
+// trainHardenedPair fits the same model twice on the shared corpus: once
+// raw, once hardened.
 func trainHardenedPair(t *testing.T, model string) (raw, hardened *Detector, ds *Dataset) {
 	t.Helper()
 	ds, _ = testCorpus(t)
+	raw, hardened = trainTwins(t, model, ds, 2)
+	return raw, hardened, ds
+}
+
+// trainTwins fits model on ds twice with one detector seed: once raw, once
+// hardened (canonical features + adversarial augmentation + telemetry).
+func trainTwins(t *testing.T, model string, ds *Dataset, seed int64) (raw, hardened *Detector) {
+	t.Helper()
 	spec, err := ModelByName(model)
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw, err = Train(spec, ds, WithDetectorSeed(2))
+	raw, err = Train(spec, ds, WithDetectorSeed(seed))
 	if err != nil {
 		t.Fatal(err)
 	}
-	hardened, err = Train(spec, ds, WithDetectorSeed(2),
+	hardened, err = Train(spec, ds, WithDetectorSeed(seed),
 		WithCanonicalFeatures(), WithAdversarialAugment(0.5), WithEvasionTelemetry())
 	if err != nil {
 		t.Fatal(err)
 	}
-	return raw, hardened, ds
+	return raw, hardened
 }
 
 // flaggedPhishing collects corpus phishing bytecodes the detector flags —
@@ -56,35 +65,79 @@ func flaggedPhishing(t *testing.T, d *Detector, ds *Dataset, max int) [][]byte {
 	return out
 }
 
-// TestHardeningShrinksEvasionRate is the tentpole's end-to-end story in
-// miniature: the greedy attack drives a raw-feature model's verdicts benign,
-// and the hardened twin resists the same attack.
+// TestHardeningShrinksEvasionRate is the adversarial gate. Random Forest
+// and XGBoost are each trained raw and hardened on the even half of the
+// seed-1 default simulation, and the greedy attack (budget 48) runs against
+// both twins on up to 24 odd-half phishing samples the raw model flags. The
+// attack must gut the raw model (evasion >= 0.5; below that the red team
+// itself has rotted), the hardened twin must at least halve the evasion
+// rate, and its clean AUC on the odd half may fall at most 0.01 below the
+// raw model's, so hardening cannot buy robustness with accuracy.
 func TestHardeningShrinksEvasionRate(t *testing.T) {
-	raw, hardened, ds := trainHardenedPair(t, "Random Forest")
-	samples := flaggedPhishing(t, raw, ds, 20)
-	if len(samples) < 10 {
-		t.Fatalf("raw model flagged only %d phishing samples", len(samples))
-	}
-	cfg := AttackConfig{Seed: 7, Budget: 48, Workers: 4}
-	rawRes, err := RunAttack(raw, samples, cfg)
+	sim, err := StartSimulation(DefaultSimulationConfig(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	hardRes, err := RunAttack(hardened, samples, cfg)
-	if err != nil {
-		t.Fatal(err)
+	defer sim.Close()
+	train, holdout := &Dataset{}, &Dataset{}
+	for i, s := range sim.Dataset().Samples {
+		if i%2 == 0 {
+			train.Samples = append(train.Samples, s)
+		} else {
+			holdout.Samples = append(holdout.Samples, s)
+		}
 	}
-	t.Logf("evasion rate raw=%.2f hardened=%.2f (drop raw=%.3f hard=%.3f)",
-		rawRes.EvasionRate, hardRes.EvasionRate, rawRes.MeanDrop, hardRes.MeanDrop)
-	if rawRes.Attempted == 0 {
-		t.Fatal("attack never ran: no samples attempted")
+	for _, model := range []string{"Random Forest", "XGBoost"} {
+		t.Run(model, func(t *testing.T) {
+			raw, hardened := trainTwins(t, model, train, 1)
+			samples := flaggedPhishing(t, raw, holdout, 24)
+			if len(samples) < 10 {
+				t.Fatalf("raw model flagged only %d holdout phishing samples", len(samples))
+			}
+			cfg := AttackConfig{Seed: 1, Budget: 48, Workers: 4}
+			rawRes, err := RunAttack(raw, samples, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			hardRes, err := RunAttack(hardened, samples, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rawAUC, hardAUC := cleanAUC(t, raw, holdout), cleanAUC(t, hardened, holdout)
+			t.Logf("evasion rate raw=%.2f hardened=%.2f (drop raw=%.3f hard=%.3f, attempted %d); clean AUC raw=%.4f hardened=%.4f",
+				rawRes.EvasionRate, hardRes.EvasionRate, rawRes.MeanDrop, hardRes.MeanDrop, rawRes.Attempted, rawAUC, hardAUC)
+			if rawRes.Attempted == 0 {
+				t.Fatal("attack never ran: no samples attempted")
+			}
+			if rawRes.EvasionRate < 0.5 {
+				t.Errorf("raw evasion rate %.2f, want >= 0.5 — the attack should gut an unhardened histogram model", rawRes.EvasionRate)
+			}
+			if hardRes.EvasionRate > 0.5*rawRes.EvasionRate {
+				t.Errorf("hardened evasion rate %.2f vs raw %.2f: hardening did not halve it", hardRes.EvasionRate, rawRes.EvasionRate)
+			}
+			if hardAUC < rawAUC-0.01 {
+				t.Errorf("hardened clean AUC %.4f is more than 0.01 below the raw model's %.4f", hardAUC, rawAUC)
+			}
+		})
 	}
-	if rawRes.EvasionRate < 0.5 {
-		t.Fatalf("raw evasion rate %.2f, want >= 0.5 — the attack should gut an unhardened histogram model", rawRes.EvasionRate)
+}
+
+// cleanAUC is d's ROC AUC over every sample of ds, unmutated.
+func cleanAUC(t *testing.T, d *Detector, ds *Dataset) float64 {
+	t.Helper()
+	scores := make([]float64, len(ds.Samples))
+	labels := make([]int, len(ds.Samples))
+	for i, s := range ds.Samples {
+		v, err := d.Score(context.Background(), s.Bytecode)
+		if err != nil {
+			t.Fatal(err)
+		}
+		scores[i] = v.PhishProb()
+		if s.Label == Phishing {
+			labels[i] = 1
+		}
 	}
-	if hardRes.Attempted > 0 && hardRes.EvasionRate > 0.5*rawRes.EvasionRate {
-		t.Fatalf("hardened evasion rate %.2f vs raw %.2f: hardening did not halve it", hardRes.EvasionRate, rawRes.EvasionRate)
-	}
+	return eval.AUC(scores, labels)
 }
 
 // TestEvasionTelemetryFlagsMutants checks that dead-code dilution and proxy

@@ -42,7 +42,7 @@ type Mutator interface {
 }
 
 // Mutators returns the full catalog in deterministic order. The attack
-// search and the benchtables gate iterate exactly this set.
+// search and the adversarial gate test iterate exactly this set.
 func Mutators() []Mutator {
 	return []Mutator{
 		deadIsland{},

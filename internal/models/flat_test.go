@@ -3,8 +3,11 @@ package models
 import (
 	"errors"
 	"math"
+	"runtime/debug"
+	"slices"
 	"sync"
 	"testing"
+	"time"
 
 	"github.com/phishinghook/phishinghook/internal/nn/flat"
 )
@@ -16,9 +19,21 @@ var deepSpecNames = []string{
 	"ECA+EfficientNet", "ViT+R2D2", "ViT+Freq",
 }
 
+// flatFamilies holds one deep model per flat op family: dense,
+// GRU+attention, causal transformer, cross-attention transformer, conv+ECA
+// and ViT. The β variants and ViT+Freq run the same ops.
+var flatFamilies = []string{
+	"ESCORT", "SCSGuard", "GPT-2α", "T5α", "ECA+EfficientNet", "ViT+R2D2",
+}
+
 // fitDeep trains a deep model on a small synthetic corpus and returns it
 // with a transformed holdout.
 func fitDeep(t testing.TB, name string, seed int64) (Scorer, [][]float64) {
+	return fitDeepN(t, name, seed, 40, 16)
+}
+
+// fitDeepN is fitDeep with train training samples and hold holdout samples.
+func fitDeepN(t testing.TB, name string, seed int64, train, hold int) (Scorer, [][]float64) {
 	t.Helper()
 	spec, err := SpecByName(name)
 	if err != nil {
@@ -28,13 +43,13 @@ func fitDeep(t testing.TB, name string, seed int64) (Scorer, [][]float64) {
 	if !ok {
 		t.Fatalf("%s is not a Scorer", name)
 	}
-	if err := m.Fit(smallDataset(t, 40, seed)); err != nil {
+	if err := m.Fit(smallDataset(t, train, seed)); err != nil {
 		t.Fatalf("Fit: %v", err)
 	}
-	hold := smallDataset(t, 16, seed+100)
+	holdout := smallDataset(t, hold, seed+100)
 	fz := m.Featurizer()
-	xs := make([][]float64, len(hold.Samples))
-	for i, s := range hold.Samples {
+	xs := make([][]float64, len(holdout.Samples))
+	for i, s := range holdout.Samples {
 		xs[i] = fz.Transform(s.Bytecode)
 	}
 	return m, xs
@@ -83,7 +98,7 @@ func TestFlatParityAllDeepModels(t *testing.T) {
 // TestFlatZeroAlloc: the compiled forward must not allocate per call once
 // the scratch pool is warm — the tentpole's core guarantee.
 func TestFlatZeroAlloc(t *testing.T) {
-	for _, name := range []string{"ESCORT", "SCSGuard", "GPT-2α", "ECA+EfficientNet", "ViT+R2D2"} {
+	for _, name := range flatFamilies {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			m, xs := fitDeep(t, name, 13)
@@ -96,6 +111,62 @@ func TestFlatZeroAlloc(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestFlatGeomeanSpeedup is the flat program's regression floor: across
+// one model per op family, the geomean speedup of ScoreFeatures over the
+// closure reference stays at least 2x. Both paths run the same FLOPs and
+// the same exponentials, so the speedup is the closure's allocation, tape
+// and dispatch overhead removed (DESIGN §11.3); losing a fused kernel lands
+// near 2x. Each model is fitted at seed 1 on 48 samples and timed over 64
+// holdout samples, the two paths alternating in five rounds so load on a
+// shared runner lands on both. Wall-clock ratios mean nothing under -race
+// and take seconds, so the test skips there and in -short.
+func TestFlatGeomeanSpeedup(t *testing.T) {
+	if raceEnabled() || testing.Short() {
+		t.Skip("wall-clock speedup gate: meaningless under -race, seconds-long for -short")
+	}
+	logSum := 0.0
+	for _, name := range flatFamilies {
+		m, xs := fitDeepN(t, name, 1, 48, 64)
+		ref := func(x []float64) (float64, error) { return ReferenceScoreFeatures(m, x) }
+		var refNs, flatNs float64
+		for round := 0; round < 5; round++ {
+			refNs += nsPerScore(t, xs, ref)
+			flatNs += nsPerScore(t, xs, m.ScoreFeatures)
+		}
+		speedup := refNs / flatNs
+		logSum += math.Log(speedup)
+		t.Logf("%-18s ref %10.0f ns/op   flat %9.0f ns/op   %4.1fx", name, refNs/5, flatNs/5, speedup)
+	}
+	geomean := math.Exp(logSum / float64(len(flatFamilies)))
+	t.Logf("geomean flat speedup %.2fx over %d models", geomean, len(flatFamilies))
+	if geomean < 2.0 {
+		t.Fatalf("geomean flat speedup %.2fx below the 2.0x floor", geomean)
+	}
+}
+
+// nsPerScore scores every holdout vector, pass after pass, for at least
+// 20 ms and returns the mean ns per call.
+func nsPerScore(t *testing.T, xs [][]float64, score func([]float64) (float64, error)) float64 {
+	t.Helper()
+	calls, t0 := 0, time.Now()
+	for time.Since(t0) < 20*time.Millisecond {
+		for _, x := range xs {
+			if _, err := score(x); err != nil {
+				t.Fatal(err)
+			}
+		}
+		calls += len(xs)
+	}
+	return float64(time.Since(t0).Nanoseconds()) / float64(calls)
+}
+
+// raceEnabled reports whether the test binary runs under the race
+// detector, which slows the two paths unevenly.
+func raceEnabled() bool {
+	bi, ok := debug.ReadBuildInfo()
+	return ok && slices.Contains(bi.Settings, debug.BuildSetting{Key: "-race", Value: "true"})
 }
 
 // TestFlatConcurrentScoreFeatures: a fitted model serves concurrent

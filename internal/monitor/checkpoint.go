@@ -86,19 +86,30 @@ func encodeCheckpoint(cp checkpoint) ([]byte, error) {
 	return append(blob, fmt.Sprintf("\n%s%08x\n", crcTrailer, sum)...), nil
 }
 
+// checkTrailer splits a checkpoint file into its JSON body and verifies the
+// CRC trailer when there is one. trailer reports whether the file carries
+// one; a legacy file without it comes back whole and unchecked.
+func checkTrailer(path string, blob []byte) (body []byte, trailer bool, err error) {
+	i := bytes.Index(blob, []byte("\n"+crcTrailer))
+	if i < 0 {
+		return blob, false, nil
+	}
+	hexSum := bytes.TrimSpace(blob[i+1+len(crcTrailer):])
+	var want uint32
+	if _, err := fmt.Sscanf(string(hexSum), "%08x", &want); err != nil {
+		return nil, true, fmt.Errorf("monitor: checkpoint %s has a malformed CRC trailer", path)
+	}
+	if got := crc32.ChecksumIEEE(blob[:i]); got != want {
+		return nil, true, fmt.Errorf("monitor: checkpoint %s fails CRC (stored %08x, computed %08x) — torn write", path, want, got)
+	}
+	return blob[:i], true, nil
+}
+
 // decodeCheckpoint parses and validates one checkpoint file's bytes.
 func decodeCheckpoint(path string, blob []byte) (checkpoint, error) {
-	body := blob
-	if i := bytes.Index(blob, []byte("\n"+crcTrailer)); i >= 0 {
-		body = blob[:i]
-		hexSum := bytes.TrimSpace(blob[i+1+len(crcTrailer):])
-		var want uint32
-		if _, err := fmt.Sscanf(string(hexSum), "%08x", &want); err != nil {
-			return checkpoint{}, fmt.Errorf("monitor: checkpoint %s has a malformed CRC trailer", path)
-		}
-		if got := crc32.ChecksumIEEE(body); got != want {
-			return checkpoint{}, fmt.Errorf("monitor: checkpoint %s fails CRC (stored %08x, computed %08x) — torn write", path, want, got)
-		}
+	body, _, err := checkTrailer(path, blob)
+	if err != nil {
+		return checkpoint{}, err
 	}
 	var cp checkpoint
 	if err := json.Unmarshal(body, &cp); err != nil {
@@ -121,10 +132,16 @@ func saveCheckpoint(path string, cp checkpoint) error {
 		return err
 	}
 	if prev, err := os.ReadFile(path); err == nil {
-		if _, derr := decodeCheckpoint(path, prev); derr == nil {
-			// Only a checkpoint that validates today is worth keeping as the
-			// rollback target; rotating damage over a good .good would lose
-			// the one copy that can still restart us.
+		// Only a checkpoint that validates today is worth keeping as the
+		// rollback target; rotating damage over a good .good would lose
+		// the one copy that can still restart us. The CRC trailer decides
+		// for every file written since it existed (a torn prefix loses or
+		// mangles it), so the save on the loop parses only a legacy file.
+		_, trailer, err := checkTrailer(path, prev)
+		if !trailer {
+			_, err = decodeCheckpoint(path, prev)
+		}
+		if err == nil {
 			os.Rename(path, path+lastGoodSuffix)
 		}
 	}

@@ -48,20 +48,34 @@ func TestCheckpointRotatesLastGood(t *testing.T) {
 	if derr != nil || cp.Cursor != 10 {
 		t.Fatalf("last-good = %+v, %v; want cursor 10", cp, derr)
 	}
+
+	// A legacy primary has no CRC trailer to vouch for it; it rotates
+	// because it still parses.
+	legacy := fmt.Sprintf(`{"version":%d,"cursor":77}`, checkpointVersion)
+	if err := os.WriteFile(path, []byte(legacy), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	mustSave(t, path, 30)
+	if good, err = os.ReadFile(path + lastGoodSuffix); err != nil || string(good) != legacy {
+		t.Fatalf("legacy primary not rotated: .good holds %q, %v", good, err)
+	}
+}
+
+// tornWrites damage a checkpoint the way a torn write does.
+var tornWrites = map[string]func([]byte) []byte{
+	"truncated": func(b []byte) []byte { return b[:len(b)/2] },
+	"bit-flip": func(b []byte) []byte {
+		c := bytes.Clone(b)
+		c[10] ^= 0x40 // inside the JSON body, CRC now mismatches
+		return c
+	},
 }
 
 // TestCheckpointTornWriteRollsBack corrupts the primary the way a torn write
 // does (truncation, bit flip) and verifies load falls back to the last-good
 // cursor instead of erroring or trusting the damage.
 func TestCheckpointTornWriteRollsBack(t *testing.T) {
-	for name, corrupt := range map[string]func([]byte) []byte{
-		"truncated": func(b []byte) []byte { return b[:len(b)/2] },
-		"bit-flip": func(b []byte) []byte {
-			c := bytes.Clone(b)
-			c[10] ^= 0x40 // inside the JSON body, CRC now mismatches
-			return c
-		},
-	} {
+	for name, corrupt := range tornWrites {
 		t.Run(name, func(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "cp")
 			mustSave(t, path, 10)
@@ -113,26 +127,31 @@ func TestCheckpointMissingPrimaryUsesLastGood(t *testing.T) {
 
 // TestCheckpointDamagedNotRotated verifies save never rotates a file that
 // fails validation over the good copy: after a torn primary, another save
-// must leave the older valid .good in place as the rollback target.
+// must leave the older valid .good in place as the rollback target. The
+// bit flip keeps the CRC trailer, which then no longer matches the body.
 func TestCheckpointDamagedNotRotated(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "cp")
-	mustSave(t, path, 10)
-	mustSave(t, path, 20) // .good = cursor 10
-	blob, _ := os.ReadFile(path)
-	os.WriteFile(path, blob[:len(blob)/2], 0o644) // tear the primary
-	mustSave(t, path, 30)
-	good, err := os.ReadFile(path + lastGoodSuffix)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cp, derr := decodeCheckpoint(path+lastGoodSuffix, good)
-	if derr != nil || cp.Cursor != 10 {
-		t.Fatalf("torn primary rotated over the good copy: %+v, %v", cp, derr)
-	}
-	// And the new primary is the fresh save.
-	cp, ok, err := loadCheckpoint(path)
-	if err != nil || !ok || cp.Cursor != 30 {
-		t.Fatalf("post-repair load = %+v, %v, %v", cp, ok, err)
+	for name, corrupt := range tornWrites {
+		t.Run(name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "cp")
+			mustSave(t, path, 10)
+			mustSave(t, path, 20) // .good = cursor 10
+			blob, _ := os.ReadFile(path)
+			os.WriteFile(path, corrupt(blob), 0o644) // tear the primary
+			mustSave(t, path, 30)
+			good, err := os.ReadFile(path + lastGoodSuffix)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cp, derr := decodeCheckpoint(path+lastGoodSuffix, good)
+			if derr != nil || cp.Cursor != 10 {
+				t.Fatalf("torn primary rotated over the good copy: %+v, %v", cp, derr)
+			}
+			// And the new primary is the fresh save.
+			cp, ok, err := loadCheckpoint(path)
+			if err != nil || !ok || cp.Cursor != 30 {
+				t.Fatalf("post-repair load = %+v, %v, %v", cp, ok, err)
+			}
+		})
 	}
 }
 

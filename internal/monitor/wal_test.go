@@ -6,6 +6,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 )
 
@@ -216,4 +217,92 @@ func TestWALReplayPreservesLongLine(t *testing.T) {
 	if !bytes.Equal(got, append(long, '\n')) {
 		t.Fatalf("journal after replay holds %d bytes, want the %d-byte undecodable line alone", len(got), len(long)+1)
 	}
+}
+
+// FuzzWALReplay replays arbitrary journal bytes, with arbitrary bytes as the
+// .sent ledger, into a healthy sink, then reopens the WAL and replays again.
+// It must never panic; no alert with an identity is delivered twice across
+// the two replays, or at all when the ledger already held its identity; and
+// after the first replay the journal holds exactly the non-blank lines that
+// do not decode, in order.
+func FuzzWALReplay(f *testing.F) {
+	line := func(a Alert) []byte {
+		b, err := json.Marshal(a)
+		if err != nil {
+			f.Fatal(err)
+		}
+		return b
+	}
+	f.Add(bytes.Join([][]byte{
+		line(Alert{TxHash: "0xa", Modality: "tx"}),
+		line(Alert{CodeHash: "c1", Address: "0x1"}),
+		line(Alert{TxHash: "0xa", Modality: "tx"}),
+		[]byte("not json"),
+		line(Alert{Address: "0x2"}),
+		nil,
+	}, []byte("\n")), []byte("code:c1\n"))
+	f.Add([]byte("\r\n  \nnull\n{\"tx_hash\":\"0xb\"}\r\n{\"tx_hash\":"), []byte("tx:0xb"))
+	f.Add([]byte("{}\n[1]\n\"s\"\n"), []byte("\n\naddr:\n"))
+
+	f.Fuzz(func(t *testing.T, journal, ledger []byte) {
+		path := filepath.Join(t.TempDir(), "alerts.wal")
+		if err := os.WriteFile(path, journal, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path+".sent", ledger, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		inLedger := map[string]bool{}
+		for _, l := range bytes.Split(ledger, []byte("\n")) {
+			inLedger[string(bytes.TrimSpace(l))] = true
+		}
+		var undecodable []string
+		for _, l := range bytes.Split(journal, []byte("\n")) {
+			l = bytes.TrimSpace(l)
+			if len(l) > 0 && json.Unmarshal(l, new(Alert)) != nil {
+				undecodable = append(undecodable, string(l))
+			}
+		}
+
+		delivered := map[string]int{}
+		for pass := 1; pass <= 2; pass++ {
+			inner := &flakySink{}
+			w, err := OpenWALSink(path, inner)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := w.Replay(); err != nil {
+				t.Fatalf("pass %d: Replay: %v", pass, err)
+			}
+			w.Close()
+			for _, a := range inner.alerts {
+				key := alertKey(a)
+				if key == "" {
+					continue
+				}
+				if inLedger[key] {
+					t.Fatalf("pass %d delivered %q, already in the sent ledger", pass, key)
+				}
+				if delivered[key]++; delivered[key] > 1 {
+					t.Fatalf("pass %d delivered %q a second time", pass, key)
+				}
+			}
+			if pass > 1 {
+				continue
+			}
+			blob, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var kept []string
+			for _, l := range bytes.Split(blob, []byte("\n")) {
+				if l = bytes.TrimSpace(l); len(l) > 0 {
+					kept = append(kept, string(l))
+				}
+			}
+			if !slices.Equal(kept, undecodable) {
+				t.Fatalf("journal after replay holds %q, want the undecodable lines %q", kept, undecodable)
+			}
+		}
+	})
 }

@@ -15,8 +15,8 @@ import "math"
 // seven pipelinable multiply-adds at a relative error of ~6e-10 on
 // |r| <= ln2/2. Compounded through the deepest model (24 GRU steps) the
 // drift against the closure forward stays ~1e-8 — two orders of magnitude
-// inside the 1e-6 parity budget, which the parity tests and
-// `benchtables -nn` re-measure over every deep model.
+// inside the 1e-6 parity budget, which the parity tests re-measure over
+// every deep model.
 
 const (
 	expLn2Hi    = 6.93147180369123816490e-01
