@@ -83,6 +83,10 @@ func OpenWALSink(path string, inner Sink) (*WALSink, error) {
 				w.pending++
 			}
 		}
+		if err := endTornLine(f, blob); err != nil {
+			w.Close()
+			return nil, fmt.Errorf("monitor: end torn alert journal line: %w", err)
+		}
 	}
 	if blob, err := os.ReadFile(path + ".sent"); err == nil {
 		for _, line := range bytes.Split(blob, []byte("\n")) {
@@ -90,9 +94,28 @@ func OpenWALSink(path string, inner Sink) (*WALSink, error) {
 				w.sent[key] = struct{}{}
 			}
 		}
+		if err := endTornLine(sentF, blob); err != nil {
+			w.Close()
+			return nil, fmt.Errorf("monitor: end torn alert sent ledger line: %w", err)
+		}
 	}
 	w.pendingN.Store(w.pending)
 	return w, nil
+}
+
+// endTornLine ends with a newline a file whose last append a kill tore, so
+// the next append starts a line of its own. Merged into the torn line, a
+// delivered key would be forgotten by the ledger and a spilled alert would
+// stop decoding in the journal. The torn line itself stays: a ledger key
+// that lost only its newline is still a delivered identity.
+func endTornLine(f *os.File, blob []byte) error {
+	if len(blob) == 0 || blob[len(blob)-1] == '\n' {
+		return nil
+	}
+	if _, err := f.Write([]byte{'\n'}); err != nil {
+		return err
+	}
+	return f.Sync()
 }
 
 // alertKey is the delivery identity the sent ledger tracks — the same keys

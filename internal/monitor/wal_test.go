@@ -122,6 +122,45 @@ func TestWALSentLedgerAbsorbsDuplicates(t *testing.T) {
 	}
 }
 
+// TestWALTornLastLine opens a journal and a sent ledger whose last appends
+// a kill tore: what the sink appends next must stay a line of its own, so a
+// delivered key is not forgotten after a restart and a spilled alert still
+// replays.
+func TestWALTornLastLine(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "alerts.wal")
+	if err := os.WriteFile(path, []byte(`{"tx_hash":"0xz"`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path+".sent", []byte("tx:0xa\ntx:0x"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	down := &flakySink{down: true}
+	w, err := OpenWALSink(path, down)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.Emit(Alert{TxHash: "0xd"}) // spills behind the torn journal line
+	w.Close()
+
+	var delivered []string
+	for pass := 1; pass <= 2; pass++ {
+		inner := &flakySink{}
+		w, err := OpenWALSink(path, inner)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w.Replay()
+		w.Emit(Alert{TxHash: "0xc"})
+		w.Close()
+		for _, a := range inner.alerts {
+			delivered = append(delivered, a.TxHash)
+		}
+	}
+	if !slices.Equal(delivered, []string{"0xd", "0xc"}) {
+		t.Fatalf("delivered %q over two restarts, want the spilled 0xd and then 0xc, each once", delivered)
+	}
+}
+
 func TestWALReplaySkipsSentEntries(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "alerts.wal")
@@ -264,6 +303,12 @@ func FuzzWALReplay(f *testing.F) {
 			}
 		}
 
+		// fresh is an identity neither input holds; each pass emits it after
+		// the replay, so it must be delivered once, in pass 1.
+		fresh := Alert{TxHash: "0xf"}
+		for inLedger[alertKey(fresh)] || bytes.Contains(journal, []byte(fresh.TxHash)) {
+			fresh.TxHash += "f"
+		}
 		delivered := map[string]int{}
 		for pass := 1; pass <= 2; pass++ {
 			inner := &flakySink{}
@@ -274,6 +319,7 @@ func FuzzWALReplay(f *testing.F) {
 			if _, _, err := w.Replay(); err != nil {
 				t.Fatalf("pass %d: Replay: %v", pass, err)
 			}
+			w.Emit(fresh)
 			w.Close()
 			for _, a := range inner.alerts {
 				key := alertKey(a)
@@ -286,6 +332,9 @@ func FuzzWALReplay(f *testing.F) {
 				if delivered[key]++; delivered[key] > 1 {
 					t.Fatalf("pass %d delivered %q a second time", pass, key)
 				}
+			}
+			if delivered[alertKey(fresh)] != 1 {
+				t.Fatalf("pass %d: fresh identity %q delivered %d times, want once", pass, fresh.TxHash, delivered[alertKey(fresh)])
 			}
 			if pass > 1 {
 				continue
