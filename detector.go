@@ -4,9 +4,11 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/gob"
+	"errors"
 	"fmt"
 	"io"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -341,39 +343,58 @@ func (d *Detector) scoreFor(code []byte) (scoreMemo, error) {
 
 // computeMemo does the actual featurize+infer work on a cache miss.
 func (d *Detector) computeMemo(code []byte) (scoreMemo, error) {
-	var m scoreMemo
-	if !d.canonical && !d.telemetry {
-		p, err := d.scorer.ScoreFeatures(d.fz.Transform(code))
+	w := d.featurize(code)
+	for s := 0; s < w.n; s++ {
+		p, err := d.scorer.ScoreFeatures(w.xs[s])
 		if err != nil {
-			return m, err
+			return scoreMemo{}, err
 		}
-		m.p = p
-		return m, nil
+		w.ps[s] = p
 	}
+	return d.finishMemo(&w), nil
+}
 
+// memoWork is one cache miss between featurization and inference: the
+// feature vectors to score and what canonicalization measured.
+type memoWork struct {
+	// xs[0] is the canonical vector in canonical or telemetry mode and the
+	// raw one otherwise; xs[1] is the raw vector telemetry compares it to.
+	xs [2][]float64
+	ps [2]float64 // model output for each vector
+	n  int        // vectors in use
+	m  scoreMemo  // dead and proxy filled in
+}
+
+// featurize builds a miss's feature vectors.
+func (d *Detector) featurize(code []byte) memoWork {
+	var w memoWork
+	if !d.canonical && !d.telemetry {
+		w.xs[0], w.n = d.fz.Transform(code), 1
+		return w
+	}
 	bufp := canonScratch.Get().(*[]byte)
 	canon, dead := evm.Canonicalize(code, (*bufp)[:0])
-	m.dead = dead
-	canonP, err := d.scorer.ScoreFeatures(d.fz.Transform(canon))
+	w.m.dead = dead
+	w.xs[0], w.n = d.fz.Transform(canon), 1
 	if d.telemetry {
 		// Matched on the canonical form so push-width and dead-code games
 		// played on a proxy frame can't slip it past the flag.
-		m.proxy = evm.IsCanonicalProxy(canon)
+		w.m.proxy = evm.IsCanonicalProxy(canon)
+		w.xs[1], w.n = d.fz.Transform(code), 2
 	}
 	if cap(canon) > cap(*bufp) {
 		*bufp = canon
 	}
 	canonScratch.Put(bufp)
-	if err != nil {
-		return scoreMemo{}, err
-	}
+	return w
+}
 
-	m.p = canonP
+// finishMemo turns a scored miss into its memo.
+func (d *Detector) finishMemo(w *memoWork) scoreMemo {
+	m := w.m
+	m.p = w.ps[0]
 	if d.telemetry {
-		rawP, err := d.scorer.ScoreFeatures(d.fz.Transform(code))
-		if err != nil {
-			return scoreMemo{}, err
-		}
+		canonP, rawP := w.ps[0], w.ps[1]
 		if !d.canonical {
 			m.p = rawP
 		}
@@ -383,8 +404,12 @@ func (d *Detector) computeMemo(code []byte) (scoreMemo, error) {
 		}
 		m.suspect = m.dead >= deadRatioSuspect || m.div >= divergenceSuspect || m.proxy
 	}
-	return m, nil
+	return m
 }
+
+// errEmptyBytecode is the error Score and ScoreBatch return for an empty
+// bytecode.
+var errEmptyBytecode = errors.New("phishinghook: score: empty bytecode")
 
 // Score classifies one deployed bytecode.
 func (d *Detector) Score(ctx context.Context, code []byte) (Verdict, error) {
@@ -392,12 +417,17 @@ func (d *Detector) Score(ctx context.Context, code []byte) (Verdict, error) {
 		return Verdict{}, err
 	}
 	if len(code) == 0 {
-		return Verdict{}, fmt.Errorf("phishinghook: score: empty bytecode")
+		return Verdict{}, errEmptyBytecode
 	}
 	m, err := d.scoreFor(code)
 	if err != nil {
 		return Verdict{}, fmt.Errorf("phishinghook: score: %w", err)
 	}
+	return d.verdict(m), nil
+}
+
+// verdict builds the verdict for one scored bytecode and counts it.
+func (d *Detector) verdict(m scoreMemo) Verdict {
 	v := Verdict{Label: Benign, Confidence: 1 - m.p, ModelName: d.modelName}
 	if m.p >= 0.5 {
 		v.Label, v.Confidence = Phishing, m.p
@@ -417,7 +447,7 @@ func (d *Detector) Score(ctx context.Context, code []byte) (Verdict, error) {
 		}
 	}
 	d.scored.Add(1)
-	return v, nil
+	return v
 }
 
 // ScoreHex classifies 0x-prefixed hex bytecode.
@@ -449,57 +479,155 @@ func (d *Detector) ScoreAddress(ctx context.Context, address string) (Verdict, e
 	return d.Score(ctx, code)
 }
 
-// ScoreBatch classifies many bytecodes concurrently over the detector's
-// worker pool, preserving order. The first error aborts outstanding work.
+// scoreBlock bounds how many bytecodes ScoreBatch featurizes and sorts at
+// once, which bounds its feature memory and how long a cancelled context
+// waits for the work in flight.
+const scoreBlock = 256
+
+// ScoreBatch classifies many bytecodes, preserving order. Cache hits are
+// answered inline. The misses are featurized, their feature vectors sorted
+// lexicographically and cut into one contiguous run per worker, and each
+// run is scored with models.ScoreRun: a GPT-2α run then computes each
+// window only from the first token where it differs from its neighbour.
+// Verdicts, the cache and the counters come out exactly as scoring each
+// bytecode with Score in order would leave them: a bytecode repeating an
+// earlier miss reads that miss's memo back through the cache. An empty
+// bytecode fails the whole batch before any work, and a cancelled context
+// stops it at the next block of scoreBlock bytecodes.
 func (d *Detector) ScoreBatch(ctx context.Context, codes [][]byte) ([]Verdict, error) {
 	out := make([]Verdict, len(codes))
 	if len(codes) == 0 {
 		return out, ctx.Err()
 	}
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	workers := d.workers
-	if workers > len(codes) {
-		workers = len(codes)
-	}
-	var (
-		wg       sync.WaitGroup
-		next     = make(chan int)
-		errOnce  sync.Once
-		firstErr error
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				v, err := d.Score(ctx, codes[i])
-				if err != nil {
-					errOnce.Do(func() { firstErr = err; cancel() })
-					return
-				}
-				out[i] = v
-			}
-		}()
-	}
-feed:
-	for i := range codes {
-		select {
-		case next <- i:
-		case <-ctx.Done():
-			break feed
+	for _, code := range codes {
+		if len(code) == 0 {
+			return nil, errEmptyBytecode
 		}
 	}
-	close(next)
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
+	for lo := 0; lo < len(codes); lo += scoreBlock {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		hi := min(lo+scoreBlock, len(codes))
+		if err := d.scoreBlock(codes[lo:hi], out[lo:hi]); err != nil {
+			return nil, fmt.Errorf("phishinghook: score: %w", err)
+		}
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	return out, nil
+}
+
+// batchMiss is the first occurrence of a bytecode a block missed in the
+// cache.
+type batchMiss struct {
+	at   int // index in the block
+	key  [32]byte
+	work memoWork
+	memo scoreMemo
+}
+
+// scoreBlock scores one block of ScoreBatch into out.
+func (d *Detector) scoreBlock(codes [][]byte, out []Verdict) error {
+	var (
+		misses []batchMiss
+		first  map[[32]byte]int // key → index in misses
+		repeat [][2]int         // {block index, index in misses}
+	)
+	for i, code := range codes {
+		key := sha256.Sum256(code)
+		if j, ok := first[key]; ok {
+			repeat = append(repeat, [2]int{i, j})
+			continue
+		}
+		if m, ok := d.cache.Get(key); ok {
+			out[i] = d.verdict(m)
+			continue
+		}
+		if len(codes) > 1 {
+			if first == nil {
+				first = make(map[[32]byte]int)
+			}
+			first[key] = len(misses)
+		}
+		misses = append(misses, batchMiss{at: i, key: key})
+	}
+	if len(misses) == 0 {
+		return nil
+	}
+
+	d.fanOut(len(misses), func(lo, hi int) error {
+		for k := lo; k < hi; k++ {
+			misses[k].work = d.featurize(codes[misses[k].at])
+		}
+		return nil
+	})
+	// Every vector the misses need, in lexicographic order; slot k*2+s is
+	// vector s of miss k.
+	var slots []int
+	for k := range misses {
+		for s := 0; s < misses[k].work.n; s++ {
+			slots = append(slots, k*2+s)
+		}
+	}
+	vec := func(slot int) []float64 { return misses[slot/2].work.xs[slot%2] }
+	slices.SortFunc(slots, func(a, b int) int { return slices.Compare(vec(a), vec(b)) })
+	xs := make([][]float64, len(slots))
+	for j, slot := range slots {
+		xs[j] = vec(slot)
+	}
+	ps := make([]float64, len(xs))
+	if err := d.fanOut(len(xs), func(lo, hi int) error {
+		return models.ScoreRun(d.scorer, xs[lo:hi], ps[lo:hi])
+	}); err != nil {
+		return err
+	}
+	for j, slot := range slots {
+		misses[slot/2].work.ps[slot%2] = ps[j]
+	}
+
+	for k := range misses {
+		miss := &misses[k]
+		miss.memo = d.finishMemo(&miss.work)
+		d.cache.Add(miss.key, miss.memo)
+		out[miss.at] = d.verdict(miss.memo)
+	}
+	for _, r := range repeat {
+		miss := &misses[r[1]]
+		m, ok := d.cache.Get(miss.key)
+		if !ok { // a disabled cache, or the entry was already evicted
+			m = miss.memo
+		}
+		out[r[0]] = d.verdict(m)
+	}
+	return nil
+}
+
+// fanOut cuts [0, n) into one contiguous range of equal size per worker
+// and runs fn on each, inline when there is only one, returning the first
+// error.
+func (d *Detector) fanOut(n int, fn func(lo, hi int) error) error {
+	w := min(d.workers, n)
+	if w <= 1 {
+		return fn(0, n)
+	}
+	errs := make([]error, w)
+	var wg sync.WaitGroup
+	for r := 0; r < w; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			errs[r] = fn(r*n/w, (r+1)*n/w)
+		}(r)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // detectorFile is the gob envelope Save writes. Canonical rides along

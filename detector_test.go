@@ -3,6 +3,7 @@ package phishinghook
 import (
 	"bytes"
 	"context"
+	"errors"
 	"math/rand"
 	"sync"
 	"testing"
@@ -229,6 +230,123 @@ func TestDetectorScoreBatchConcurrent(t *testing.T) {
 	hits, misses := det.CacheStats()
 	if hits == 0 {
 		t.Fatalf("feature cache never hit (hits=%d misses=%d)", hits, misses)
+	}
+}
+
+// TestDetectorScoreBatchMatchesScore: ScoreBatch sorts its misses into
+// runs (prefix-sharing ones on GPT-2α), yet every verdict, cache count,
+// score count and telemetry sum must come out as scoring each bytecode
+// with Score in order on a separately loaded detector leaves them. Batches
+// mix cache hits, misses and repeated bytecodes.
+func TestDetectorScoreBatchMatchesScore(t *testing.T) {
+	ds, _ := testCorpus(t)
+	codes := make([][]byte, ds.Len())
+	for i, s := range ds.Samples {
+		codes[i] = s.Bytecode
+	}
+	cat := func(parts ...[][]byte) [][]byte {
+		var out [][]byte
+		for _, p := range parts {
+			out = append(out, p...)
+		}
+		return out
+	}
+	batches := [][][]byte{
+		{codes[0]},
+		{codes[100]},
+		cat(codes[10:60], codes[30:40], codes[0:5], codes[45:46], codes[45:46]),
+		cat(codes[40:120], codes[55:65]),
+		codes,
+	}
+	for _, c := range []struct {
+		model     string
+		train     []DetectorOption
+		telemetry bool
+	}{
+		{model: "GPT-2α", train: []DetectorOption{WithDetectorNeural(tinyNeural(1))}},
+		// Hardened as `train -harden` trains it, served with telemetry.
+		{model: "Random Forest", train: []DetectorOption{WithCanonicalFeatures(), WithAdversarialAugment(0.5)}, telemetry: true},
+	} {
+		t.Run(c.model, func(t *testing.T) {
+			spec, err := ModelByName(c.model)
+			if err != nil {
+				t.Fatal(err)
+			}
+			trained, err := Train(spec, ds, c.train...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var blob bytes.Buffer
+			if err := trained.Save(&blob); err != nil {
+				t.Fatal(err)
+			}
+			load := func(opts ...DetectorOption) *Detector {
+				if c.telemetry {
+					opts = append(opts, WithEvasionTelemetry())
+				}
+				d, err := LoadDetector(bytes.NewReader(blob.Bytes()), opts...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return d
+			}
+			// Three workers cut odd-sized runs. The default cache holds the
+			// whole corpus: under eviction the order of a block's reads
+			// and writes shifts which repeats hit.
+			det := load(WithScoreWorkers(3))
+			ref := load()
+			ctx := context.Background()
+			for _, code := range codes[:20] {
+				if _, err := det.Score(ctx, code); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := ref.Score(ctx, code); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for b, batch := range batches {
+				got, err := det.ScoreBatch(ctx, batch)
+				if err != nil {
+					t.Fatalf("batch %d: %v", b, err)
+				}
+				for i, code := range batch {
+					want, err := ref.Score(ctx, code)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got[i] != want {
+						t.Fatalf("batch %d item %d: ScoreBatch %+v, Score %+v", b, i, got[i], want)
+					}
+				}
+				gh, gm := det.CacheStats()
+				wh, wm := ref.CacheStats()
+				if gh != wh || gm != wm {
+					t.Fatalf("batch %d: cache hits/misses %d/%d, Score in order gives %d/%d", b, gh, gm, wh, wm)
+				}
+				if g, w := det.ScoreCount(), ref.ScoreCount(); g != w {
+					t.Fatalf("batch %d: ScoreCount %d, want %d", b, g, w)
+				}
+				if g, w := det.AdversaryStats(), ref.AdversaryStats(); g != w {
+					t.Fatalf("batch %d: AdversaryStats %+v, want %+v", b, g, w)
+				}
+			}
+			if c.telemetry && det.AdversaryStats().Scored == 0 {
+				t.Fatal("telemetry never recorded")
+			}
+
+			before := det.ScoreCount()
+			if vs, err := det.ScoreBatch(ctx, [][]byte{codes[70], nil, codes[71]}); err == nil || vs != nil {
+				t.Fatalf("batch with an empty bytecode: %v, %v; want an error", vs, err)
+			}
+			cancelled, cancel := context.WithCancel(ctx)
+			cancel()
+			if vs, err := det.ScoreBatch(cancelled, codes[70:80]); !errors.Is(err, context.Canceled) || vs != nil {
+				t.Fatalf("cancelled batch: %v, %v; want context.Canceled", vs, err)
+			}
+			if got := det.ScoreCount(); got != before {
+				t.Fatalf("refused batches scored %d bytecodes", got-before)
+			}
+		})
 	}
 }
 

@@ -1,10 +1,13 @@
 package lifecycle
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -179,7 +182,8 @@ func TestStoreGCSparesPointers(t *testing.T) {
 		}
 		ids = append(ids, v.ID)
 	}
-	// champion = v0001 (auto), challenger = v0003; keep 1 newest besides.
+	// champion = v0001 (auto), challenger = v0003; keep the newest 1, which
+	// is neither.
 	if err := s.SetChallenger(ids[2]); err != nil {
 		t.Fatal(err)
 	}
@@ -205,6 +209,128 @@ func TestStoreGCSparesPointers(t *testing.T) {
 			t.Fatalf("removed version %s still resolvable", id)
 		}
 	}
+}
+
+// TestStoreGCCountsPointersTowardKeep: GC(N) keeps the newest N versions
+// plus the pointers, so a champion that is itself the newest version uses
+// up the one slot of GC(1).
+func TestStoreGCCountsPointersTowardKeep(t *testing.T) {
+	s := openTestStore(t)
+	v1, err := s.Put([]byte("one"), Meta{Spec: "RF"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	v2, err := s.Put([]byte("two"), Meta{Spec: "RF"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Promote(v2.ID); err != nil {
+		t.Fatal(err)
+	}
+	removed, err := s.GC(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(removed) != 1 || removed[0] != v1.ID {
+		t.Fatalf("GC(1) removed %v, want [%s]", removed, v1.ID)
+	}
+	if left := s.List(); len(left) != 1 || left[0].ID != v2.ID {
+		t.Fatalf("GC(1) left %v, want only %s", left, v2.ID)
+	}
+}
+
+// validManifest is a one-version manifest as Put writes it.
+const validManifest = `{"version": 1, "next": 2, "champion": "v0001", "versions": [
+ {"id": "v0001", "spec": "RF", "train_from": 0, "train_to": 0,
+  "sha256": "5e884898da28047151d0e56f8dc6292773603d0d6aabbdd62a11ef721d1542d8", "size": 8, "created_unix": 1}]}`
+
+// TestStoreRefusesHostileManifest: Open and Reload refuse a manifest whose
+// ids could escape the store directory or be reused by Put, or whose
+// pointers or digests are dangling or malformed.
+func TestStoreRefusesHostileManifest(t *testing.T) {
+	cases := map[string]string{
+		"path id":            strings.Replace(validManifest, `"id": "v0001"`, `"id": "../victim"`, 1),
+		"next reuses an id":  strings.Replace(validManifest, `"next": 2`, `"next": 1`, 1),
+		"next not positive":  `{"version": 1, "next": 0, "versions": []}`,
+		"duplicate id":       strings.Replace(validManifest, `"versions": [`, `"versions": [{"id": "v1", "sha256": "5e884898da28047151d0e56f8dc6292773603d0d6aabbdd62a11ef721d1542d8"},`, 1),
+		"unknown champion":   strings.Replace(validManifest, `"champion": "v0001"`, `"champion": "v0007"`, 1),
+		"unknown challenger": strings.Replace(validManifest, `"champion"`, `"challenger": "v0002", "champion"`, 1),
+		"short digest":       strings.Replace(validManifest, `"sha256": "5e88`, `"sha256": "5e8`, 1),
+		"wrong version":      strings.Replace(validManifest, `"version": 1`, `"version": 2`, 1),
+	}
+	ok := openTestStore(t)
+	if err := os.WriteFile(ok.manifestPath(), []byte(validManifest), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(ok.Dir()); err != nil {
+		t.Fatalf("valid manifest refused: %v", err)
+	}
+	for name, body := range cases {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			if err := os.WriteFile(filepath.Join(dir, manifestName), []byte(body), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := Open(dir); err == nil {
+				t.Fatal("Open accepted the manifest")
+			}
+			s := openTestStore(t)
+			if err := os.WriteFile(s.manifestPath(), []byte(body), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Reload(); err == nil {
+				t.Fatal("Reload accepted the manifest")
+			}
+		})
+	}
+}
+
+// FuzzManifestLoad opens a store over arbitrary manifest bytes. Open must
+// refuse them or load them, and Reload must agree. A loaded store must
+// never resolve a blob path outside its directory, a Put must never reuse
+// an id, and the state persisted by that Put must reopen unchanged.
+func FuzzManifestLoad(f *testing.F) {
+	f.Add([]byte(validManifest))
+	f.Add([]byte(strings.Replace(validManifest, `"id": "v0001"`, `"id": "../victim"`, 1)))
+	f.Add([]byte(strings.Replace(validManifest, `"next": 2`, `"next": 1`, 1)))
+	f.Add([]byte(`{"version": 1, "next": 1, "versions": null}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, manifestName), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s, err := Open(dir)
+		other := &Store{dir: dir}
+		if reloadErr := other.Reload(); (reloadErr == nil) != (err == nil) {
+			t.Fatalf("Open error %v but Reload error %v", err, reloadErr)
+		}
+		if err != nil {
+			return
+		}
+		ids := map[string]bool{}
+		for _, v := range s.List() {
+			ids[v.ID] = true
+			if filepath.Dir(s.blobPath(v.ID)) != filepath.Clean(dir) {
+				t.Fatalf("version %q resolves outside the store: %s", v.ID, s.blobPath(v.ID))
+			}
+		}
+		v, err := s.Put([]byte("fuzz model"), Meta{Spec: "RF"})
+		if err != nil {
+			return // ids exhausted
+		}
+		if ids[v.ID] || versionSeq(v.ID) <= 0 {
+			t.Fatalf("Put reused or minted a bad id %q over %v", v.ID, ids)
+		}
+		re, err := Open(dir)
+		if err != nil {
+			t.Fatalf("reopen after Put: %v", err)
+		}
+		got, _ := json.Marshal(re.m)
+		want, _ := json.Marshal(s.m)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("reopened manifest %s, persisted %s", got, want)
+		}
+	})
 }
 
 func TestVersionSeqOrdersPastPadding(t *testing.T) {

@@ -18,8 +18,10 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -99,13 +101,75 @@ func Open(dir string) (*Store, error) {
 	if err != nil {
 		return nil, fmt.Errorf("lifecycle: read manifest: %w", err)
 	}
-	if err := json.Unmarshal(blob, &s.m); err != nil {
-		return nil, fmt.Errorf("lifecycle: parse manifest %s: %w", s.manifestPath(), err)
-	}
-	if s.m.Version != manifestVersion {
-		return nil, fmt.Errorf("lifecycle: manifest %s has version %d, want %d", s.manifestPath(), s.m.Version, manifestVersion)
+	if s.m, err = s.parseManifest(blob); err != nil {
+		return nil, err
 	}
 	return s, nil
+}
+
+// parseManifest decodes and validates manifest bytes. Version ids become
+// blob file names, so a manifest is refused unless every id is "v" plus
+// decimal digits and unique, next is above every id (Put never reuses
+// one), every digest is a SHA-256 hex string, and the champion and
+// challenger are empty or stored versions.
+func (s *Store) parseManifest(blob []byte) (manifest, error) {
+	var m manifest
+	if err := json.Unmarshal(blob, &m); err != nil {
+		return manifest{}, fmt.Errorf("lifecycle: parse manifest %s: %w", s.manifestPath(), err)
+	}
+	if err := m.validate(); err != nil {
+		return manifest{}, fmt.Errorf("lifecycle: manifest %s: %w", s.manifestPath(), err)
+	}
+	return m, nil
+}
+
+func (m *manifest) validate() error {
+	if m.Version != manifestVersion {
+		return fmt.Errorf("has version %d, want %d", m.Version, manifestVersion)
+	}
+	if m.Next < 1 {
+		return fmt.Errorf("next id %d is not positive", m.Next)
+	}
+	seen := map[int]bool{}
+	for _, v := range m.Versions {
+		seq, ok := parseVersionID(v.ID)
+		if !ok {
+			return fmt.Errorf("version id %q is not v plus decimal digits", v.ID)
+		}
+		if seen[seq] {
+			return fmt.Errorf("version id %q is not unique", v.ID)
+		}
+		seen[seq] = true
+		if seq >= m.Next {
+			return fmt.Errorf("version id %q is not below next id %d", v.ID, m.Next)
+		}
+		if sum, err := hex.DecodeString(v.SHA256); err != nil || len(sum) != sha256.Size {
+			return fmt.Errorf("version %s digest %q is not SHA-256 hex", v.ID, v.SHA256)
+		}
+	}
+	for _, ptr := range []string{m.Champion, m.Challenger} {
+		if ptr != "" && !slices.ContainsFunc(m.Versions, func(v Version) bool { return v.ID == ptr }) {
+			return fmt.Errorf("points at unknown version %q", ptr)
+		}
+	}
+	return nil
+}
+
+// parseVersionID parses a "vNNNN" id: "v" followed by decimal digits.
+func parseVersionID(id string) (int, bool) {
+	if len(id) < 2 || id[0] != 'v' {
+		return 0, false
+	}
+	for _, c := range id[1:] {
+		if c < '0' || c > '9' {
+			return 0, false
+		}
+	}
+	n, err := strconv.Atoi(id[1:])
+	if err != nil {
+		return 0, false
+	}
+	return n, true
 }
 
 // Dir returns the store's root directory.
@@ -126,12 +190,9 @@ func (s *Store) Reload() error {
 	if err != nil {
 		return fmt.Errorf("lifecycle: reload manifest: %w", err)
 	}
-	var m manifest
-	if err := json.Unmarshal(blob, &m); err != nil {
-		return fmt.Errorf("lifecycle: parse manifest %s: %w", s.manifestPath(), err)
-	}
-	if m.Version != manifestVersion {
-		return fmt.Errorf("lifecycle: manifest %s has version %d, want %d", s.manifestPath(), m.Version, manifestVersion)
+	m, err := s.parseManifest(blob)
+	if err != nil {
+		return err
 	}
 	s.mu.Lock()
 	s.m = m
@@ -149,6 +210,9 @@ func (s *Store) Put(blob []byte, meta Meta) (Version, error) {
 	sum := sha256.Sum256(blob)
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.m.Next == math.MaxInt {
+		return Version{}, fmt.Errorf("lifecycle: version ids exhausted")
+	}
 	v := Version{
 		ID:          fmt.Sprintf("v%04d", s.m.Next),
 		Meta:        meta,
@@ -264,7 +328,8 @@ func (s *Store) SetChallenger(id string) error {
 }
 
 // GC removes all but the newest keep versions, always sparing the champion
-// and challenger, and returns the ids it deleted. Blob files are unlinked
+// and challenger (a pointer among the newest keep counts toward keep), and
+// returns the ids it deleted. Blob files are unlinked
 // after the manifest commits, so a crash mid-GC leaves orphan blobs rather
 // than dangling manifest entries.
 func (s *Store) GC(keep int) ([]string, error) {
@@ -282,14 +347,10 @@ func (s *Store) GC(keep int) ([]string, error) {
 	// Newest first by numeric id — lexical comparison would misorder once
 	// ids outgrow the zero padding (v10000 < v2000 lexically).
 	sort.Slice(byAge, func(i, j int) bool { return versionSeq(byAge[i].ID) > versionSeq(byAge[j].ID) })
-	kept := 0
 	keepSet := map[string]bool{}
-	for _, v := range byAge {
-		if spare[v.ID] || kept < keep {
+	for i, v := range byAge {
+		if i < keep || spare[v.ID] {
 			keepSet[v.ID] = true
-			if !spare[v.ID] {
-				kept++
-			}
 		}
 	}
 	next := s.m
@@ -317,13 +378,7 @@ func (s *Store) GC(keep int) ([]string, error) {
 // versionSeq parses the numeric suffix of a "vNNNN" id (0 for malformed
 // ids, which sort oldest).
 func versionSeq(id string) int {
-	if len(id) < 2 || id[0] != 'v' {
-		return 0
-	}
-	n, err := strconv.Atoi(id[1:])
-	if err != nil {
-		return 0
-	}
+	n, _ := parseVersionID(id)
 	return n
 }
 

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/phishinghook/phishinghook/internal/features"
 	"github.com/phishinghook/phishinghook/internal/nn/flat"
 )
 
@@ -96,7 +97,8 @@ func TestFlatParityAllDeepModels(t *testing.T) {
 }
 
 // TestFlatZeroAlloc: the compiled forward must not allocate per call once
-// the scratch pool is warm — the tentpole's core guarantee.
+// the scratch pool is warm — the tentpole's core guarantee — and neither
+// must ForwardRun over a run of windows.
 func TestFlatZeroAlloc(t *testing.T) {
 	for _, name := range flatFamilies {
 		name := name
@@ -109,8 +111,160 @@ func TestFlatZeroAlloc(t *testing.T) {
 			if allocs := testing.AllocsPerRun(100, func() { m.ScoreFeatures(x) }); allocs != 0 {
 				t.Fatalf("ScoreFeatures allocates %v per op, want 0", allocs)
 			}
+			p := programOf(t, m)
+			run := sortedWindows(p, xs)
+			out := make([]float64, len(run))
+			if err := p.ForwardRun(run, out); err != nil {
+				t.Fatal(err)
+			}
+			if allocs := testing.AllocsPerRun(100, func() { p.ForwardRun(run, out) }); allocs != 0 {
+				t.Fatalf("ForwardRun allocates %v per op, want 0", allocs)
+			}
 		})
 	}
+}
+
+// programOf returns a fitted deep model's compiled program.
+func programOf(t testing.TB, m Scorer) *flat.Program {
+	t.Helper()
+	fs, ok := m.(interface{ program() *flat.Program })
+	if !ok || fs.program() == nil {
+		t.Fatalf("%s has no compiled flat program", m.Name())
+	}
+	return fs.program()
+}
+
+// sortedWindows cuts feature vectors into program windows and sorts them
+// lexicographically, the order ScoreBatch scores them in.
+func sortedWindows(p *flat.Program, xs [][]float64) [][]float64 {
+	var wins [][]float64
+	for _, x := range xs {
+		for base := 0; base+p.InDim() <= len(x); base += p.InDim() {
+			wins = append(wins, x[base:base+p.InDim()])
+		}
+	}
+	slices.SortFunc(wins, slices.Compare)
+	return wins
+}
+
+// prefixSafeModels are the deep models whose programs reuse shared
+// leading rows: causal GPT-2 blocks between a token embedding and a mean
+// pool.
+var prefixSafeModels = map[string]bool{"GPT-2α": true, "GPT-2β": true}
+
+// checkForwardRun runs one run through ForwardRun and requires every
+// output to equal a lone Forward of its window under ==.
+func checkForwardRun(t *testing.T, p *flat.Program, label string, run [][]float64) {
+	t.Helper()
+	out := make([]float64, len(run))
+	if err := p.ForwardRun(run, out); err != nil {
+		t.Fatalf("%s: ForwardRun: %v", label, err)
+	}
+	for i, w := range run {
+		want, err := p.Forward(w)
+		if err != nil {
+			t.Fatalf("%s: Forward: %v", label, err)
+		}
+		if out[i] != want {
+			t.Fatalf("%s: window %d: ForwardRun %v != Forward %v", label, i, out[i], want)
+		}
+	}
+}
+
+// TestForwardRunMatchesForward: on every deep model, ForwardRun returns
+// exactly what scoring each window alone returns, over sorted holdout
+// windows and over runs built to hit the prefix edges — identical windows,
+// windows differing only in the last or only in the first token, and
+// PAD-padded windows — and models.ScoreRun matches ScoreFeatures on whole
+// feature vectors (β's multi-window vectors included). It also pins which
+// programs are prefix-safe.
+func TestForwardRunMatchesForward(t *testing.T) {
+	for _, name := range deepSpecNames {
+		name := name
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			m, xs := fitDeep(t, name, 37)
+			p := programOf(t, m)
+			if got := p.PrefixSafe(); got != prefixSafeModels[name] {
+				t.Fatalf("PrefixSafe() = %v, want %v", got, prefixSafeModels[name])
+			}
+			wins := sortedWindows(p, xs)
+			checkForwardRun(t, p, "sorted holdout", wins)
+
+			w := wins[len(wins)/2]
+			n := len(w)
+			with := func(i int, v float64) []float64 {
+				c := slices.Clone(w)
+				c[i] = v
+				return c
+			}
+			padded := func(from int) []float64 {
+				c := slices.Clone(w)
+				for i := from; i < n; i++ {
+					c[i] = features.PadID
+				}
+				return c
+			}
+			checkForwardRun(t, p, "identical", [][]float64{w, w, slices.Clone(w), w})
+			checkForwardRun(t, p, "last token", [][]float64{w, with(n-1, w[n-1]+1), w, with(n-1, w[n-1]+2)})
+			checkForwardRun(t, p, "first token", [][]float64{w, with(0, w[0]+1), w, with(0, w[0]+2)})
+			checkForwardRun(t, p, "padded", [][]float64{padded(n / 2), padded(n/2 + 1), w, padded(n / 3), padded(n / 3), padded(1)})
+			rev := slices.Clone(wins)
+			slices.Reverse(rev)
+			checkForwardRun(t, p, "reversed", rev)
+
+			out := make([]float64, len(xs))
+			if err := ScoreRun(m, xs, out); err != nil {
+				t.Fatalf("ScoreRun: %v", err)
+			}
+			for i, x := range xs {
+				want, err := m.ScoreFeatures(x)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if out[i] != want {
+					t.Fatalf("vector %d: ScoreRun %v != ScoreFeatures %v", i, out[i], want)
+				}
+			}
+		})
+	}
+}
+
+// FuzzForwardRunMatchesForward lets the fuzzer pick a run's tokens and how
+// long a prefix its windows share, on GPT-2α (prefix-safe) and T5α (not),
+// and requires ForwardRun to equal per-window Forward under ==.
+func FuzzForwardRunMatchesForward(f *testing.F) {
+	var progs []*flat.Program
+	for _, name := range []string{"GPT-2α", "T5α"} {
+		m, _ := fitDeep(f, name, 41)
+		progs = append(progs, programOf(f, m))
+	}
+	f.Add([]byte{3, 9, 27, 81, 243}, uint8(3))
+	f.Add([]byte{0, 0, 0, 0}, uint8(0))
+	f.Add([]byte("PUSH1 0x80 PUSH1 0x40 MSTORE CALLVALUE"), uint8(200))
+	f.Fuzz(func(t *testing.T, tokens []byte, shared uint8) {
+		if len(tokens) == 0 {
+			t.Skip()
+		}
+		for _, p := range progs {
+			n := p.InDim()
+			k := int(shared) % (n + 1)
+			// Window a cycles the tokens; b shares a's first k tokens and
+			// then reads them backwards; c is b PAD-padded after k.
+			a, b, c := make([]float64, n), make([]float64, n), make([]float64, n)
+			for i := range a {
+				a[i] = float64(tokens[i%len(tokens)])
+				b[i] = a[i]
+				if i >= k {
+					b[i] = float64(tokens[len(tokens)-1-i%len(tokens)])
+					c[i] = features.PadID
+				} else {
+					c[i] = a[i]
+				}
+			}
+			checkForwardRun(t, p, "fuzz", [][]float64{a, b, c, b, a, a})
+		}
+	})
 }
 
 // TestFlatGeomeanSpeedup is the flat program's regression floor: across

@@ -54,6 +54,29 @@ func ReferenceScoreFeatures(s Scorer, x []float64) (float64, error) {
 	return s.ScoreFeatures(x)
 }
 
+// ScoreRun scores a run of feature vectors, writing out[i] =
+// s.ScoreFeatures(xs[i]) bit for bit. A model whose feature vector is one
+// window of its compiled program (GPT-2α, T5α) scores the run through
+// flat.Program.ForwardRun, so a prefix-safe program computes each window
+// only from the first token where it differs from the one before; sorting
+// the run lexicographically shares the most. Every other model scores the
+// vectors one at a time.
+func ScoreRun(s Scorer, xs [][]float64, out []float64) error {
+	if lm, ok := s.(*transformerLM); ok {
+		if p := lm.runProgram(xs); p != nil {
+			return p.ForwardRun(xs, out)
+		}
+	}
+	for i, x := range xs {
+		p, err := s.ScoreFeatures(x)
+		if err != nil {
+			return err
+		}
+		out[i] = p
+	}
+	return nil
+}
+
 // Compile-time checks: every deep model serves through a flat program.
 var (
 	_ flatModel = (*escort)(nil)

@@ -451,6 +451,23 @@ func (m *transformerLM) scoreWith(p *flat.Program, x []float64) (float64, error)
 	return pPhish / float64(n), nil
 }
 
+// runProgram returns the serving program when every vector in xs is
+// exactly one SeqLen window (α), which scoreWith scores with a single
+// Forward, and nil otherwise: β vectors hold several windows and score one
+// at a time.
+func (m *transformerLM) runProgram(xs [][]float64) *flat.Program {
+	p := m.program()
+	if !m.fitted || p == nil {
+		return nil
+	}
+	for _, x := range xs {
+		if len(x) != m.fz.SeqLen {
+			return nil
+		}
+	}
+	return p
+}
+
 // flatBuilder implements flatModel: one SeqLen window through fused
 // embed+positional, the block stack, then the kind-specific read-out.
 func (m *transformerLM) flatBuilder() *flat.Builder {

@@ -411,13 +411,18 @@ func (b *Builder) Logits(d *nn.Dense, in Buf) {
 	b.hasLogits = b.err == nil
 }
 
-// Program is a compiled forward-only inference program. Forward is safe
-// for concurrent use and allocates nothing in steady state.
+// Program is a compiled forward-only inference program. Forward and
+// ForwardRun are safe for concurrent use and allocate nothing in steady
+// state.
 type Program struct {
 	inDim  int
 	ops    []op
 	logits int
 	pool   sync.Pool // *arena
+	// prefixSafe: every sequence row depends only on the tokens at or
+	// before it (see Compile), so a window may start where it first
+	// differs from the window before it.
+	prefixSafe bool
 }
 
 // InputSizeError reports a Forward input that does not match the compiled
@@ -438,13 +443,57 @@ func (p *Program) Forward(x []float64) (float64, error) {
 		return 0, &InputSizeError{Got: len(x), Want: p.inDim}
 	}
 	a := p.pool.Get().(*arena)
+	pr := p.exec(a, x, 0)
+	p.pool.Put(a)
+	return pr, nil
+}
+
+// ForwardRun scores a run of feature vectors through one arena, writing
+// out[i] = Forward(xs[i]) bit for bit. On a prefix-safe program each
+// window starts at the first token where it differs from the window before
+// it: below that row the arena's residual rows and every block's K/V rows
+// already hold this window's values, computed by the same arithmetic. A
+// caller that sorts its windows lexicographically shares the most rows.
+// Other programs run every window from row 0.
+func (p *Program) ForwardRun(xs [][]float64, out []float64) error {
+	if len(out) < len(xs) {
+		return fmt.Errorf("flat: ForwardRun of %d windows into %d outputs", len(xs), len(out))
+	}
+	for _, x := range xs {
+		if len(x) != p.inDim {
+			return &InputSizeError{Got: len(x), Want: p.inDim}
+		}
+	}
+	a := p.pool.Get().(*arena)
+	var prev []float64
+	for i, x := range xs {
+		from := 0
+		if p.prefixSafe && prev != nil {
+			for from < len(x) && x[from] == prev[from] {
+				from++
+			}
+		}
+		out[i] = p.exec(a, x, from)
+		prev = x
+	}
+	p.pool.Put(a)
+	return nil
+}
+
+// PrefixSafe reports whether ForwardRun reuses shared leading rows.
+func (p *Program) PrefixSafe() bool { return p.prefixSafe }
+
+// InDim returns the width of the feature vector (window) the program scores.
+func (p *Program) InDim() int { return p.inDim }
+
+// exec runs every op over x, sequence ops from row from, and returns
+// P(class 1) read off the logits buffer.
+func (p *Program) exec(a *arena, x []float64, from int) float64 {
 	for _, o := range p.ops {
-		o.run(a, x)
+		o.run(a, x, from)
 	}
 	lb := a.bufs[p.logits]
-	d := lb[0] - lb[1]
-	p.pool.Put(a)
-	return 1 / (1 + math.Exp(d)), nil
+	return 1 / (1 + math.Exp(lb[0]-lb[1]))
 }
 
 // Compile instantiates the recorded program.
@@ -459,7 +508,7 @@ func (b *Builder) Compile() (*Program, error) {
 	for i, sh := range b.shapes {
 		sizes[i] = sh.n
 	}
-	p := &Program{inDim: b.inDim, logits: int(b.logits)}
+	p := &Program{inDim: b.inDim, logits: int(b.logits), prefixSafe: prefixSafe(b.specs)}
 	for _, spec := range b.specs {
 		o, err := instantiate(b, spec)
 		if err != nil {
@@ -469,6 +518,23 @@ func (b *Builder) Compile() (*Program, error) {
 	}
 	p.pool.New = func() any { return newArena(sizes) }
 	return p, nil
+}
+
+// prefixSafe reports whether a program computes sequence row t from input
+// tokens 0..t alone: its only sequence ops are the token embedding and
+// causal blocks, and every other op is a vector op or the mean pool that
+// reads the finished sequence. GPT-2 programs qualify; recurrence, bare or
+// cross attention, non-causal blocks and image ops do not.
+func prefixSafe(specs []opSpec) bool {
+	for _, s := range specs {
+		switch {
+		case s.kind == kEmbedSeq, s.kind == kMeanPool, s.kind == kDense, s.kind == kLayerNorm:
+		case s.kind == kBlock && s.causal:
+		default:
+			return false
+		}
+	}
+	return true
 }
 
 // arena is one worker's scratch: every planned buffer sliced out of a
@@ -492,7 +558,9 @@ func newArena(sizes []int) *arena {
 	return &arena{bufs: bufs}
 }
 
-// op is one executable step.
+// op is one executable step. Sequence ops that honour a prefix-safe run
+// (EmbedSeq, Block) compute rows from..seqLen only; every other op runs in
+// full and ignores from, which is 0 outside a prefix-safe run.
 type op interface {
-	run(a *arena, x []float64)
+	run(a *arena, x []float64, from int)
 }

@@ -94,8 +94,39 @@ func TestForwardZeroAlloc(t *testing.T) {
 	}
 }
 
+// causalProgram compiles a GPT-2-shaped program (token embedding with a
+// positional table, two causal blocks, mean pool, norm, logits) over fresh
+// random layers.
+func causalProgram(t testing.TB, seed int64, vocab, seqLen int) *Program {
+	t.Helper()
+	const dim, heads = 8, 2
+	rng := rand.New(rand.NewSource(seed))
+	b := NewBuilder(seqLen)
+	x := b.EmbedSeq(nn.NewEmbedding("t.emb", vocab, dim, rng), seqLen,
+		nn.NewParam("t.pos", seqLen*dim, nn.NormalInit(rng, 0.1)))
+	for i := 0; i < 2; i++ {
+		b.Block(nn.NewTransformerBlock("t.blk", dim, heads, 2*dim, rng), x, true)
+	}
+	h := b.LayerNorm(nn.NewLayerNorm("t.ln", dim), b.MeanPool(x))
+	b.Logits(nn.NewDense("t.head", dim, 2, rng), h)
+	p, err := b.Compile()
+	if err != nil {
+		t.Fatalf("Compile: %v", err)
+	}
+	if !p.PrefixSafe() {
+		t.Fatal("causal program is not prefix-safe")
+	}
+	return p
+}
+
+// TestForwardConcurrent: 8 goroutines share one dense program through
+// Forward and one causal program through ForwardRun (meaningful under
+// -race: the pool must hand each goroutine its own arena, and a run's
+// reused rows must be its own).
 func TestForwardConcurrent(t *testing.T) {
 	p, d1, d2 := denseProgram(t, 7, 16, 8)
+	const vocab, seqLen = 12, 10
+	lm := causalProgram(t, 7, vocab, seqLen)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -117,6 +148,32 @@ func TestForwardConcurrent(t *testing.T) {
 					return
 				}
 			}
+			for r := 0; r < 50; r++ {
+				// Each window keeps a random prefix of the one before it.
+				run := make([][]float64, 6)
+				for i := range run {
+					run[i] = make([]float64, seqLen)
+					keep := 0
+					if i > 0 {
+						keep = rng.Intn(seqLen + 1)
+						copy(run[i], run[i-1][:keep])
+					}
+					for j := keep; j < seqLen; j++ {
+						run[i][j] = float64(rng.Intn(vocab))
+					}
+				}
+				out := make([]float64, len(run))
+				if err := lm.ForwardRun(run, out); err != nil {
+					t.Errorf("ForwardRun: %v", err)
+					return
+				}
+				for i, w := range run {
+					if want, _ := lm.Forward(w); out[i] != want {
+						t.Errorf("ForwardRun window %d: %v != Forward %v", i, out[i], want)
+						return
+					}
+				}
+			}
 		}(int64(g))
 	}
 	wg.Wait()
@@ -131,6 +188,13 @@ func TestInputSizeError(t *testing.T) {
 	}
 	if ise.Got != 3 || ise.Want != 16 {
 		t.Fatalf("InputSizeError = %+v", ise)
+	}
+	err = p.ForwardRun([][]float64{make([]float64, 16), make([]float64, 3)}, make([]float64, 2))
+	if !errorsAs(err, &ise) || ise.Got != 3 {
+		t.Fatalf("ForwardRun with a short window: %v, want *InputSizeError", err)
+	}
+	if err := p.ForwardRun(make([][]float64, 2), make([]float64, 1)); err == nil {
+		t.Fatal("ForwardRun accepted fewer outputs than windows")
 	}
 }
 

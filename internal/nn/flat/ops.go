@@ -72,7 +72,7 @@ type opInput struct {
 	out int
 }
 
-func (o *opInput) run(a *arena, x []float64) {
+func (o *opInput) run(a *arena, x []float64, _ int) {
 	copy(a.bufs[o.out], x)
 }
 
@@ -85,9 +85,9 @@ type opEmbedSeq struct {
 	seqLen, out int
 }
 
-func (o *opEmbedSeq) run(a *arena, x []float64) {
+func (o *opEmbedSeq) run(a *arena, x []float64, from int) {
 	out := a.bufs[o.out]
-	for t := 0; t < o.seqLen; t++ {
+	for t := from; t < o.seqLen; t++ {
 		id := tokenID(x[t], o.vocab)
 		row := o.w[id*o.dim : (id+1)*o.dim]
 		dst := out[t*o.dim : (t+1)*o.dim]
@@ -109,7 +109,7 @@ type opEmbedMean struct {
 	seqLen, out int
 }
 
-func (o *opEmbedMean) run(a *arena, x []float64) {
+func (o *opEmbedMean) run(a *arena, x []float64, _ int) {
 	out := a.bufs[o.out]
 	clear(out)
 	for t := 0; t < o.seqLen; t++ {
@@ -133,7 +133,7 @@ type opDense struct {
 	in, out int
 }
 
-func (o *opDense) run(a *arena, x []float64) {
+func (o *opDense) run(a *arena, x []float64, _ int) {
 	xv := a.bufs[o.in]
 	y := a.bufs[o.out]
 	o.m.matvec(xv, o.b, y)
@@ -152,7 +152,7 @@ type opLayerNorm struct {
 	in, out    int
 }
 
-func (o *opLayerNorm) run(a *arena, _ []float64) {
+func (o *opLayerNorm) run(a *arena, _ []float64, _ int) {
 	layerNormRow(a.bufs[o.in], a.bufs[o.out], o.gain, o.bias)
 }
 
@@ -166,7 +166,7 @@ type opGRU struct {
 	zB, rB, rhB, htB       int
 }
 
-func (o *opGRU) run(a *arena, _ []float64) {
+func (o *opGRU) run(a *arena, _ []float64, _ int) {
 	seq := a.bufs[o.in]
 	h := a.bufs[o.out]
 	clear(h)
@@ -203,14 +203,15 @@ type attnCore struct {
 	causal         bool
 }
 
-// project fills the K/V (and, when planned, Q) buffers from a sequence.
-func (c *attnCore) project(a *arena, src []float64) {
+// project fills rows from..seqLen of the K/V (and, when planned, Q)
+// buffers from a sequence.
+func (c *attnCore) project(a *arena, src []float64, from int) {
 	k, v := a.bufs[c.kB], a.bufs[c.vB]
 	var q []float64
 	if c.qB >= 0 {
 		q = a.bufs[c.qB]
 	}
-	for s := 0; s < c.seqLen; s++ {
+	for s := from; s < c.seqLen; s++ {
 		xs := src[s*c.dim : (s+1)*c.dim]
 		if q != nil {
 			c.wq.matvec(xs, c.bq, q[s*c.dim:(s+1)*c.dim])
@@ -288,9 +289,9 @@ type opSelfAttn struct {
 	in, out int
 }
 
-func (o *opSelfAttn) run(a *arena, _ []float64) {
+func (o *opSelfAttn) run(a *arena, _ []float64, _ int) {
 	src := a.bufs[o.in]
-	o.core.project(a, src)
+	o.core.project(a, src, 0)
 	out := a.bufs[o.out]
 	q := a.bufs[o.core.qB]
 	dim := o.core.dim
@@ -301,7 +302,9 @@ func (o *opSelfAttn) run(a *arena, _ []float64) {
 }
 
 // opBlock applies one pre-norm transformer block in place:
-// x += Wo·attn(LN1(x)); x += FF2(GELU(FF1(LN2(x)))).
+// x += Wo·attn(LN1(x)); x += FF2(GELU(FF1(LN2(x)))). It updates rows
+// from..seqLen; a causal row reads the K/V rows at or before it, so rows
+// below from (left by the previous window of a prefix-safe run) stay valid.
 type opBlock struct {
 	g1, b1, g2, b2 []float64
 	core           attnCore
@@ -312,22 +315,22 @@ type opBlock struct {
 	n1B, n2B, midB int
 }
 
-func (o *opBlock) run(a *arena, _ []float64) {
+func (o *opBlock) run(a *arena, _ []float64, from int) {
 	x := a.bufs[o.seq]
 	n1 := a.bufs[o.n1B]
 	dim := o.dim
-	for s := 0; s < o.core.seqLen; s++ {
+	for s := from; s < o.core.seqLen; s++ {
 		layerNormRow(x[s*dim:(s+1)*dim], n1[s*dim:(s+1)*dim], o.g1, o.b1)
 	}
-	o.core.project(a, n1)
+	o.core.project(a, n1, from)
 	q := a.bufs[o.core.qB]
-	for s := 0; s < o.core.seqLen; s++ {
+	for s := from; s < o.core.seqLen; s++ {
 		ctx := o.core.attendRow(a, q[s*dim:(s+1)*dim], o.core.limitAt(s))
 		o.core.wo.matvecAcc(ctx, o.core.bo, x[s*dim:(s+1)*dim])
 	}
 	n2 := a.bufs[o.n2B]
 	mid := a.bufs[o.midB]
-	for s := 0; s < o.core.seqLen; s++ {
+	for s := from; s < o.core.seqLen; s++ {
 		xr := x[s*dim : (s+1)*dim]
 		layerNormRow(xr, n2, o.g2, o.b2)
 		o.ff1.matvec(n2, o.fb1, mid[:o.ffDim])
@@ -344,8 +347,8 @@ type opCrossQuery struct {
 	in, out int
 }
 
-func (o *opCrossQuery) run(a *arena, _ []float64) {
-	o.core.project(a, a.bufs[o.in])
+func (o *opCrossQuery) run(a *arena, _ []float64, _ int) {
+	o.core.project(a, a.bufs[o.in], 0)
 	ctx := o.core.attendRow(a, o.qproj, o.core.seqLen)
 	o.core.wo.matvec(ctx, o.core.bo, a.bufs[o.out])
 }
@@ -356,7 +359,7 @@ type opMeanPool struct {
 	in, out    int
 }
 
-func (o *opMeanPool) run(a *arena, _ []float64) {
+func (o *opMeanPool) run(a *arena, _ []float64, _ int) {
 	seq := a.bufs[o.in]
 	out := a.bufs[o.out]
 	clear(out)
@@ -378,7 +381,7 @@ type opImageInput struct {
 	side, out int
 }
 
-func (o *opImageInput) run(a *arena, x []float64) {
+func (o *opImageInput) run(a *arena, x []float64, _ int) {
 	img := a.bufs[o.out]
 	side := o.side
 	plane := side * side
@@ -430,7 +433,7 @@ func (o *opConv) bounds() {
 	}
 }
 
-func (o *opConv) run(a *arena, _ []float64) {
+func (o *opConv) run(a *arena, _ []float64, _ int) {
 	src := a.bufs[o.in]
 	dst := a.bufs[o.out]
 	for oc := 0; oc < o.outC; oc++ {
@@ -495,7 +498,7 @@ type opECA struct {
 	gapB, attB int
 }
 
-func (o *opECA) run(a *arena, _ []float64) {
+func (o *opECA) run(a *arena, _ []float64, _ int) {
 	img := a.bufs[o.img]
 	gap := a.bufs[o.gapB]
 	att := a.bufs[o.attB]
@@ -534,7 +537,7 @@ type opGAP struct {
 	in, out int
 }
 
-func (o *opGAP) run(a *arena, _ []float64) {
+func (o *opGAP) run(a *arena, _ []float64, _ int) {
 	img := a.bufs[o.in]
 	out := a.bufs[o.out]
 	plane := o.h * o.w
@@ -559,7 +562,7 @@ type opPatchViT struct {
 	out              int
 }
 
-func (o *opPatchViT) run(a *arena, x []float64) {
+func (o *opPatchViT) run(a *arena, x []float64, _ int) {
 	out := a.bufs[o.out]
 	for i := 0; i < o.dim; i++ {
 		out[i] = o.cls[i] + o.pos[i]
