@@ -72,20 +72,7 @@ func (r *RemoteScorer) Score(ctx context.Context, code []byte) (Verdict, error) 
 	if err != nil {
 		return Verdict{}, err
 	}
-	v := vs[0]
-	label := Benign
-	if v.Phishing {
-		label = Phishing
-	}
-	return Verdict{
-		Label:           label,
-		Confidence:      v.Confidence,
-		ModelName:       v.Model,
-		ModelVersion:    v.ModelVersion,
-		DeadCodeRatio:   v.DeadCodeRatio,
-		ScoreDivergence: v.ScoreDivergence,
-		EvasionSuspect:  v.EvasionSuspect,
-	}, nil
+	return fromWire(vs[0]), nil
 }
 
 // ScoreTx scores one transaction (calldata + callee bytecode, either may be
@@ -99,15 +86,5 @@ func (r *RemoteScorer) ScoreTx(ctx context.Context, calldata, code []byte) (TxVe
 		return TxVerdict{}, err
 	}
 	v := vs[0]
-	return TxVerdict{
-		Phishing:        v.Phishing,
-		Confidence:      v.Confidence,
-		PayloadProb:     v.PayloadProb,
-		CodeProb:        v.CodeProb,
-		Model:           v.Model,
-		Version:         v.ModelVersion,
-		DeadCodeRatio:   v.DeadCodeRatio,
-		ScoreDivergence: v.ScoreDivergence,
-		EvasionSuspect:  v.EvasionSuspect,
-	}, nil
+	return TxVerdict{Verdict: fromWire(v), PayloadProb: v.PayloadProb, CodeProb: v.CodeProb}, nil
 }

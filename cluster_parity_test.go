@@ -17,9 +17,12 @@ import (
 
 // parityCluster is two replicas serving one saved canonical detector with
 // evasion telemetry plus a fused tx scorer, and a router in front of them.
-// replica is the first replica's handler, called directly.
+// replica is the first replica's handler, called directly, and det and
+// fused are the scorers behind it.
 type parityCluster struct {
 	replica, router http.Handler
+	det             *Detector
+	fused           TxScorer
 	routerURL       string
 	rt              *ClusterRouter
 	codes           [][]byte // contract bytecodes whose verdicts carry telemetry
@@ -63,7 +66,7 @@ func startParityCluster(tb testing.TB) *parityCluster {
 		}
 		h := NewScoreHandler(det, WithClusterRole("replica"), WithTxScorer(fused))
 		if i == 0 {
-			p.replica = h
+			p.replica, p.det, p.fused = h, det, fused
 		}
 		srv := httptest.NewServer(h)
 		tb.Cleanup(srv.Close)
@@ -147,8 +150,8 @@ func mustJSON(tb testing.TB, v any) []byte {
 // TestClusterRouterMatchesReplica checks that the router is wire-identical
 // to one replica: every valid and hostile body gets the same status and the
 // same bytes (apart from elapsed_ms) directly and through the router,
-// evasion telemetry included, and RemoteScorer carries the telemetry back
-// into Go verdicts.
+// evasion telemetry included, and RemoteScorer answers through the router
+// the very verdicts the replica's own scorers return in process.
 func TestClusterRouterMatchesReplica(t *testing.T) {
 	p := startParityCluster(t)
 
@@ -209,27 +212,30 @@ func TestClusterRouterMatchesReplica(t *testing.T) {
 	}
 
 	t.Run("RemoteScorer", func(t *testing.T) {
+		ctx := context.Background()
 		rs := NewRemoteScorer(p.routerURL, WithScoreRetries(3, 5*time.Millisecond))
-		var direct ScoreResponse
-		if err := json.Unmarshal([]byte(serveOnce(p.replica, http.MethodPost, "/score", mustJSON(t, ScoreRequest{Bytecode: single})).body), &direct); err != nil {
-			t.Fatal(err)
-		}
-		want := direct.Verdicts[0]
-		v, err := rs.Score(context.Background(), p.codes[0])
+		want, err := p.det.Score(ctx, p.codes[0])
 		if err != nil {
 			t.Fatal(err)
 		}
-		if v.DeadCodeRatio != want.DeadCodeRatio || v.ScoreDivergence != want.ScoreDivergence || v.EvasionSuspect != want.EvasionSuspect {
-			t.Errorf("RemoteScorer.Score telemetry {%v %v %v}, replica answers {%v %v %v}",
-				v.DeadCodeRatio, v.ScoreDivergence, v.EvasionSuspect, want.DeadCodeRatio, want.ScoreDivergence, want.EvasionSuspect)
+		if v, err := rs.Score(ctx, p.codes[0]); err != nil || v != want {
+			t.Errorf("RemoteScorer.Score = %+v, %v; the replica's detector answers %+v", v, err, want)
 		}
-		tv, err := rs.ScoreTx(context.Background(), p.calldata, p.codes[0])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if tv.DeadCodeRatio != want.DeadCodeRatio || tv.ScoreDivergence != want.ScoreDivergence || tv.EvasionSuspect != want.EvasionSuspect {
-			t.Errorf("RemoteScorer.ScoreTx telemetry {%v %v %v}, replica answers {%v %v %v}",
-				tv.DeadCodeRatio, tv.ScoreDivergence, tv.EvasionSuspect, want.DeadCodeRatio, want.ScoreDivergence, want.EvasionSuspect)
+		for _, tx := range []struct {
+			name           string
+			calldata, code []byte
+		}{
+			{"code+calldata", p.calldata, p.codes[0]},
+			{"calldata", p.calldata, nil},
+			{"code", nil, p.codes[0]},
+		} {
+			want, err := p.fused.ScoreTx(ctx, tx.calldata, tx.code)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if v, err := rs.ScoreTx(ctx, tx.calldata, tx.code); err != nil || v != want {
+				t.Errorf("%s: RemoteScorer.ScoreTx = %+v, %v; the replica's fused scorer answers %+v", tx.name, v, err, want)
+			}
 		}
 	})
 }

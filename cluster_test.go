@@ -328,12 +328,11 @@ func (b *clusterTxBackend) ScoreTx(ctx context.Context, calldata, code []byte) (
 	b.mu.Lock()
 	b.counts[sha256.Sum256(code)]++
 	b.mu.Unlock()
-	phishing := len(calldata) > 0 && calldata[len(calldata)-1]%2 == 0
-	conf := 0.2
-	if phishing {
-		conf = 0.9
+	v := TxVerdict{Verdict: Verdict{Label: Benign, Confidence: 0.2, ModelName: b.name, ModelVersion: "v1"}, PayloadProb: 0.2}
+	if len(calldata) > 0 && calldata[len(calldata)-1]%2 == 0 {
+		v.Label, v.Confidence, v.PayloadProb = Phishing, 0.9, 0.9
 	}
-	return TxVerdict{Phishing: phishing, Confidence: conf, PayloadProb: conf, Model: b.name, Version: "v1"}, nil
+	return v, nil
 }
 
 func (b *clusterTxBackend) countOf(code []byte) int {
@@ -449,7 +448,7 @@ func TestClusterTxRoutingShardsByCalleeCode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !v.Phishing || v.Confidence != 0.9 || v.PayloadProb != 0.9 || v.Model == "" || v.Version != "v1" {
+	if !v.IsPhishing() || v.Confidence != 0.9 || v.PayloadProb != 0.9 || v.ModelName == "" || v.ModelVersion != "v1" {
 		t.Fatalf("RemoteScorer.ScoreTx verdict %+v", v)
 	}
 }
@@ -741,7 +740,7 @@ func TestWatchThroughClusterReplicaKill(t *testing.T) {
 	t.Cleanup(front.Close)
 
 	scorer := &countingScorer{
-		inner:  codeScorer{NewRemoteScorer(front.URL, WithScoreRetries(5, 10*time.Millisecond))},
+		inner:  NewRemoteScorer(front.URL, WithScoreRetries(5, 10*time.Millisecond)),
 		counts: make(map[[32]byte]int),
 	}
 	var alertMu sync.Mutex

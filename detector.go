@@ -18,52 +18,14 @@ import (
 	"github.com/phishinghook/phishinghook/internal/features"
 	"github.com/phishinghook/phishinghook/internal/lru"
 	"github.com/phishinghook/phishinghook/internal/models"
+	"github.com/phishinghook/phishinghook/internal/monitor"
 )
 
-// Verdict is one scoring decision.
-type Verdict struct {
-	// Label is the predicted class.
-	Label Label
-	// Confidence is the probability mass behind Label (>= 0.5).
-	Confidence float64
-	// ModelName identifies the detector's model.
-	ModelName string
-	// ModelVersion is the lifecycle-store version that produced the
-	// verdict; empty when scoring through a bare Detector rather than a
-	// versioned Swappable handle.
-	ModelVersion string
-	// DeadCodeRatio is the fraction of the bytecode unreachable from the
-	// entry point — the raw material of dead-code evasion. Populated only
-	// when the detector runs with WithEvasionTelemetry.
-	DeadCodeRatio float64
-	// ScoreDivergence is |P(raw) − P(canonical)|: how far the score moves
-	// when unreachable bytes and encoding games are stripped. Near zero for
-	// honest contracts; large when dead code is steering the model.
-	// Populated only under WithEvasionTelemetry.
-	ScoreDivergence float64
-	// EvasionSuspect flags verdicts whose telemetry looks adversarial
-	// (excess dead code, raw/canonical divergence, or an EIP-1167 proxy
-	// whose behaviour lives at another address). A benign label with this
-	// flag set should not be trusted unattended.
-	EvasionSuspect bool
-}
-
-// IsPhishing reports whether the verdict flags the contract.
-func (v Verdict) IsPhishing() bool { return v.Label == Phishing }
-
-// PhishProb recovers P(phishing) from the verdict's label + confidence —
-// the scalar the drift detector and shadow comparisons operate on.
-func (v Verdict) PhishProb() float64 {
-	if v.Label == Phishing {
-		return v.Confidence
-	}
-	return 1 - v.Confidence
-}
-
-// String implements fmt.Stringer.
-func (v Verdict) String() string {
-	return fmt.Sprintf("%s (%.1f%% by %s)", v.Label, v.Confidence*100, v.ModelName)
-}
+// Verdict is one scoring decision: the predicted label, the confidence
+// behind it, the model and lifecycle version that scored, and evasion
+// telemetry. It is the one in-process verdict type; watchers alert on it, and
+// a TxVerdict embeds it.
+type Verdict = monitor.Verdict
 
 // DetectorOption configures Train and LoadDetector.
 type DetectorOption func(*detectorConfig)

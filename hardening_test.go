@@ -12,7 +12,6 @@ import (
 
 	"github.com/phishinghook/phishinghook/internal/adversary"
 	"github.com/phishinghook/phishinghook/internal/eval"
-	"github.com/phishinghook/phishinghook/internal/txstream"
 )
 
 // trainHardenedPair fits the same model twice on the shared corpus: once
@@ -342,7 +341,7 @@ func TestVerdictWireJSONCompat(t *testing.T) {
 		t.Fatalf("contract verdict JSON changed:\n got %s\nwant %s", b, want)
 	}
 
-	tv := txToWire(txstream.TxVerdict{Phishing: true, Confidence: 0.9, PayloadProb: 0.5, CodeProb: 0.8, Model: "m", Version: "v1"})
+	tv := txToWire(TxVerdict{Verdict: Verdict{Label: Phishing, Confidence: 0.9, ModelName: "m", ModelVersion: "v1"}, PayloadProb: 0.5, CodeProb: 0.8})
 	b, err = json.Marshal(tv)
 	if err != nil {
 		t.Fatal(err)
@@ -362,6 +361,17 @@ func TestVerdictWireJSONCompat(t *testing.T) {
 	for _, key := range []string{`"dead_code_ratio":0.5`, `"score_divergence":0.25`, `"evasion_suspect":true`} {
 		if !strings.Contains(string(b), key) {
 			t.Fatalf("telemetry verdict JSON missing %s: %s", key, b)
+		}
+	}
+
+	// fromWire inverts toWire: a verdict of either label, versioned and
+	// carrying all three telemetry fields, survives the round trip whole.
+	for _, v := range []Verdict{
+		{Label: Phishing, Confidence: 0.75, ModelName: "m", ModelVersion: "v2", DeadCodeRatio: 0.5, ScoreDivergence: 0.25, EvasionSuspect: true},
+		{Label: Benign, Confidence: 0.8, ModelName: "m", ModelVersion: "v2", DeadCodeRatio: 0.125, ScoreDivergence: 0.0625, EvasionSuspect: true},
+	} {
+		if got := fromWire(toWire(v)); got != v {
+			t.Fatalf("fromWire(toWire(v)) = %+v, want %+v", got, v)
 		}
 	}
 }

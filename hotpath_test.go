@@ -115,7 +115,7 @@ func TestPipelineSteadyStateZeroAllocs(t *testing.T) {
 		addrs[i] = fmt.Sprintf("0x%040x", i+1)
 	}
 
-	p, err := monitor.NewPipeline(codeScorer{det}, fetch, monitor.PipelineConfig{FetchBatch: batch})
+	p, err := monitor.NewPipeline(det, fetch, monitor.PipelineConfig{FetchBatch: batch})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -380,12 +380,13 @@ func (rt *Router) fanOut(ctx context.Context, codes [][]byte, path string,
 
 // txCodeFallback re-answers a failed /score/tx sub-batch (the items at idx)
 // from the code half alone: the callee bytecodes go through the ordinary
-// /score path (which may land on any healthy replica) and the payload
-// probability is reported as zero; the code verdict's evasion telemetry is
-// kept. EOA callees — no code to judge, no calldata scorer reachable —
-// degrade to an explicit benign zero-confidence verdict. The point is that a
-// replica-side calldata-model fault does not silence code-evidenced alerts;
-// fused confidence returns when /score/tx recovers.
+// /score path (which may land on any healthy replica), the payload
+// probability is reported as zero and the code probability is the code
+// verdict's P(phishing), as on the fused path; the code verdict's evasion
+// telemetry is kept. EOA callees — no code to judge, no calldata scorer
+// reachable — degrade to an explicit benign zero-confidence verdict. The
+// point is that a replica-side calldata-model fault does not silence
+// code-evidenced alerts; fused confidence returns when /score/tx recovers.
 func (rt *Router) txCodeFallback(ctx context.Context, items []httpapi.TxScoreItem, codes [][]byte, idx []int) ([]httpapi.Verdict, error) {
 	out := make([]httpapi.Verdict, len(idx))
 	var subCodes [][]byte
@@ -407,6 +408,9 @@ func (rt *Router) txCodeFallback(ctx context.Context, items []httpapi.TxScoreIte
 		}
 		for k, v := range vs {
 			v.Modality, v.CodeProb = "tx", v.Confidence
+			if !v.Phishing {
+				v.CodeProb = 1 - v.Confidence
+			}
 			out[pos[k]] = v
 		}
 	}

@@ -15,13 +15,15 @@ import (
 )
 
 // stubReplica speaks the replica wire protocol with canned verdicts: /score
-// answers one phishing verdict per bytecode (with evasion telemetry when
-// telemetry is set before serving), /score/tx fuses or faults according to
-// txDown, and hang inserts a context-aware stall so a test can simulate a
-// replica that accepts connections but never answers in time.
+// answers one verdict per bytecode at confidence 0.9, phishing unless benign
+// is set (with evasion telemetry when telemetry is set before serving),
+// /score/tx fuses or faults according to txDown, and hang inserts a
+// context-aware stall so a test can simulate a replica that accepts
+// connections but never answers in time.
 type stubReplica struct {
 	hang      atomic.Bool
 	txDown    atomic.Bool
+	benign    atomic.Bool
 	calls     atomic.Int64
 	telemetry bool
 }
@@ -41,6 +43,9 @@ func (s *stubReplica) handler() http.Handler {
 		vs := make([]httpapi.Verdict, len(req.Bytecodes))
 		for i := range vs {
 			vs[i] = httpapi.Verdict{Label: "phishing", Phishing: true, Confidence: 0.9, Model: "stub", ModelVersion: "v1"}
+			if s.benign.Load() {
+				vs[i].Label, vs[i].Phishing = "benign", false
+			}
 			if s.telemetry {
 				vs[i].DeadCodeRatio, vs[i].ScoreDivergence, vs[i].EvasionSuspect = 0.25, 0.125, true
 			}
@@ -150,8 +155,9 @@ func TestWatchdogEjectsHungReplica(t *testing.T) {
 
 // TestTxFallbackCodeOnly faults /score/tx on every replica while /score
 // stays healthy: RouteTxBatch must degrade to code-only verdicts (Modality
-// "tx", payload probability zeroed, confidence from the code half) instead
-// of erroring, and count them in Stats().Degraded.
+// "tx", payload probability zeroed, confidence from the code half, code
+// probability the code verdict's P(phishing) for a phishing and a benign
+// callee alike) instead of erroring, and count them in Stats().Degraded.
 func TestTxFallbackCodeOnly(t *testing.T) {
 	reps := []*stubReplica{{}, {}}
 	var urls []string
@@ -212,6 +218,23 @@ func TestTxFallbackCodeOnly(t *testing.T) {
 	}
 	if d := rt.Stats().Degraded; d != uint64(len(items)) {
 		t.Errorf("Degraded advanced after recovery: %d", d)
+	}
+
+	// A benign callee degrades to P(phishing | code) = 1 − confidence, the
+	// code_prob the fused path reports for it, not to the confidence behind
+	// its benign label.
+	for _, s := range reps {
+		s.benign.Store(true)
+		s.txDown.Store(true)
+	}
+	vs, err = rt.RouteTxBatch(context.Background(), items[:2])
+	if err != nil {
+		t.Fatalf("RouteTxBatch should degrade, not fail: %v", err)
+	}
+	for i, v := range vs {
+		if v.Phishing || v.Label != "benign" || v.Modality != "tx" || v.PayloadProb != 0 || v.CodeProb != 1-v.Confidence {
+			t.Errorf("benign verdict %d not a code-only degrade at P(phishing | code): %+v", i, v)
+		}
 	}
 }
 

@@ -162,8 +162,8 @@ type gatedScorer struct {
 	once   atomic.Bool
 }
 
-func (g *gatedScorer) ScoreCode(ctx context.Context, code []byte) (Verdict, error) {
-	v, err := g.fakeScorer.ScoreCode(ctx, code)
+func (g *gatedScorer) Score(ctx context.Context, code []byte) (Verdict, error) {
+	v, err := g.fakeScorer.Score(ctx, code)
 	if err == nil && g.scored.Add(1) >= g.after && g.once.CompareAndSwap(false, true) {
 		close(g.signal)
 	}

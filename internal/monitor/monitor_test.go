@@ -8,12 +8,14 @@ import (
 	"fmt"
 	"net/http/httptest"
 	"path/filepath"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"github.com/phishinghook/phishinghook/internal/chain"
+	"github.com/phishinghook/phishinghook/internal/dataset"
 	"github.com/phishinghook/phishinghook/internal/ethrpc"
 	"github.com/phishinghook/phishinghook/internal/explorer"
 	"github.com/phishinghook/phishinghook/internal/synth"
@@ -37,7 +39,7 @@ func newFakeScorer(c *chain.Chain) *fakeScorer {
 	return f
 }
 
-func (f *fakeScorer) ScoreCode(ctx context.Context, code []byte) (Verdict, error) {
+func (f *fakeScorer) Score(ctx context.Context, code []byte) (Verdict, error) {
 	if err := ctx.Err(); err != nil {
 		return Verdict{}, err
 	}
@@ -48,7 +50,11 @@ func (f *fakeScorer) ScoreCode(ctx context.Context, code []byte) (Verdict, error
 	f.mu.Lock()
 	f.counts[h]++
 	f.mu.Unlock()
-	return Verdict{Phishing: f.phishing[h], Confidence: 0.95, Model: "fake"}, nil
+	label := dataset.Benign
+	if f.phishing[h] {
+		label = dataset.Phishing
+	}
+	return Verdict{Label: label, Confidence: 0.95, ModelName: "fake"}, nil
 }
 
 func (f *fakeScorer) maxCount() int {
@@ -376,11 +382,11 @@ type failOnceScorer struct {
 	failed atomic.Bool
 }
 
-func (f *failOnceScorer) ScoreCode(ctx context.Context, code []byte) (Verdict, error) {
+func (f *failOnceScorer) Score(ctx context.Context, code []byte) (Verdict, error) {
 	if f.failed.CompareAndSwap(false, true) {
 		return Verdict{}, fmt.Errorf("transient model fault")
 	}
-	return f.fakeScorer.ScoreCode(ctx, code)
+	return f.fakeScorer.Score(ctx, code)
 }
 
 func TestWatcherRetriesWindowAfterScoreFailure(t *testing.T) {
@@ -419,11 +425,11 @@ type poisonScorer struct {
 	poison [32]byte
 }
 
-func (p *poisonScorer) ScoreCode(ctx context.Context, code []byte) (Verdict, error) {
+func (p *poisonScorer) Score(ctx context.Context, code []byte) (Verdict, error) {
 	if sha256.Sum256(code) == p.poison {
 		return Verdict{}, fmt.Errorf("deterministic model fault")
 	}
-	return p.fakeScorer.ScoreCode(ctx, code)
+	return p.fakeScorer.Score(ctx, code)
 }
 
 func TestWatcherAbandonsPoisonPillBytecode(t *testing.T) {
@@ -456,5 +462,55 @@ func TestWatcherAbandonsPoisonPillBytecode(t *testing.T) {
 	want, _ := windowUniques(c, cfg.StartBlock, tail)
 	if int(s.ContractsScored) != want-1 {
 		t.Errorf("scored %d unique bytecodes, want %d (all but the poison pill)", s.ContractsScored, want-1)
+	}
+}
+
+// fixedScorer answers the same verdict for every bytecode.
+type fixedScorer Verdict
+
+func (f fixedScorer) Score(context.Context, []byte) (Verdict, error) { return Verdict(f), nil }
+
+// sameCodeFetcher answers one fixed bytecode for every address.
+type sameCodeFetcher []byte
+
+func (f sameCodeFetcher) GetCodeBatch(_ context.Context, addrs []chain.Address) ([][]byte, error) {
+	codes := make([][]byte, len(addrs))
+	for i := range codes {
+		codes[i] = f
+	}
+	return codes, nil
+}
+
+// TestPipelineThresholdIsPhishProb pins the contract alert rule to the one
+// the tx watcher uses: an alert fires on P(phishing) >= Threshold and
+// carries that probability as its confidence, so a threshold below 0.5 also
+// fires on a benign verdict whose P(phishing) clears it.
+func TestPipelineThresholdIsPhishProb(t *testing.T) {
+	benign := fixedScorer{Label: dataset.Benign, Confidence: 0.6, ModelName: "fixed"} // P(phishing) = 0.4
+	for _, tc := range []struct {
+		threshold float64
+		want      []float64
+	}{{0.3, []float64{0.4}}, {0.5, nil}} {
+		alerts := make(chan Alert, 2)
+		p, err := NewPipeline(benign, sameCodeFetcher("\x60\x80"), PipelineConfig{Threshold: tc.threshold, Sinks: []Sink{ChanSink(alerts)}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		p.Start(ctx)
+		err = p.Scan(ctx, []string{"0x1111111111111111111111111111111111111111"}, 1)
+		p.Stop()
+		cancel()
+		if err != nil {
+			t.Fatal(err)
+		}
+		close(alerts)
+		var got []float64
+		for a := range alerts {
+			got = append(got, a.Confidence)
+		}
+		if !slices.Equal(got, tc.want) {
+			t.Errorf("threshold %v: alert confidences %v, want %v", tc.threshold, got, tc.want)
+		}
 	}
 }

@@ -361,7 +361,7 @@ func (p *Pipeline) ingest(ctx context.Context, a string, code []byte, head uint6
 func (p *Pipeline) scoreLoop() {
 	for job := range p.queue {
 		t0 := time.Now()
-		v, err := p.scorer.ScoreCode(p.ctx, job.code)
+		v, err := p.scorer.Score(p.ctx, job.code)
 		p.ctr.latency.Observe(time.Since(t0))
 		if err != nil {
 			p.ctr.errors.Add(1)
@@ -389,16 +389,16 @@ func (p *Pipeline) scoreLoop() {
 			p.mu.Lock()
 			delete(p.scoreFail, job.hash)
 			p.mu.Unlock()
-			p.progress.Judge(job.hash, v.Version)
+			p.progress.Judge(job.hash, v.ModelVersion)
 			p.ctr.contractsScored.Add(1)
-			if v.Phishing && v.Confidence >= p.cfg.Threshold {
+			if prob := v.PhishProb(); prob >= p.cfg.Threshold {
 				p.emit(Alert{
 					Address:        job.addr,
 					CodeHash:       hex.EncodeToString(job.hash[:]),
 					Block:          job.head,
-					Confidence:     v.Confidence,
-					Model:          v.Model,
-					ModelVersion:   v.Version,
+					Confidence:     prob,
+					Model:          v.ModelName,
+					ModelVersion:   v.ModelVersion,
 					EvasionSuspect: v.EvasionSuspect,
 					Time:           time.Now(),
 				})

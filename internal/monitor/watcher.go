@@ -37,36 +37,66 @@ import (
 	"sync/atomic"
 	"time"
 
+	"github.com/phishinghook/phishinghook/internal/dataset"
 	"github.com/phishinghook/phishinghook/internal/ethrpc"
 	"github.com/phishinghook/phishinghook/internal/explorer"
 )
 
-// Verdict is the monitor-facing slice of a detector decision.
+// Verdict is one scoring decision, the one shape it has from the detector
+// to an alert (the root package re-exports it as phishinghook.Verdict).
 type Verdict struct {
-	// Phishing reports the predicted class.
-	Phishing bool
-	// Confidence is the probability mass behind the prediction.
+	// Label is the predicted class.
+	Label dataset.Label
+	// Confidence is the probability mass behind Label (>= 0.5).
 	Confidence float64
-	// Model names the scoring model.
-	Model string
-	// Version is the lifecycle-store model version that scored (empty when
-	// the scorer is not versioned). It is stamped onto alerts and the
+	// ModelName identifies the detector's model.
+	ModelName string
+	// ModelVersion is the lifecycle-store version that produced the
+	// verdict; empty when scoring through a bare Detector rather than a
+	// versioned Swappable handle. It is stamped onto alerts and the
 	// checkpoint so every verdict stays attributable across hot swaps and
 	// restarts.
-	Version string
-	// DeadCodeRatio, ScoreDivergence and EvasionSuspect carry the
-	// detector's evasion telemetry when it runs hardened (all zero
-	// otherwise); the suspect flag rides onto alerts.
-	DeadCodeRatio   float64
+	ModelVersion string
+	// DeadCodeRatio is the fraction of the bytecode unreachable from the
+	// entry point — the raw material of dead-code evasion. Populated only
+	// when the detector runs with WithEvasionTelemetry.
+	DeadCodeRatio float64
+	// ScoreDivergence is |P(raw) − P(canonical)|: how far the score moves
+	// when unreachable bytes and encoding games are stripped. Near zero for
+	// honest contracts; large when dead code is steering the model.
+	// Populated only under WithEvasionTelemetry.
 	ScoreDivergence float64
-	EvasionSuspect  bool
+	// EvasionSuspect flags verdicts whose telemetry looks adversarial
+	// (excess dead code, raw/canonical divergence, or an EIP-1167 proxy
+	// whose behaviour lives at another address). A benign label with this
+	// flag set should not be trusted unattended; the flag rides onto
+	// alerts.
+	EvasionSuspect bool
+}
+
+// IsPhishing reports whether the verdict flags the contract.
+func (v Verdict) IsPhishing() bool { return v.Label == dataset.Phishing }
+
+// PhishProb recovers P(phishing) from the verdict's label + confidence —
+// the scalar alert thresholds, the drift detector and shadow comparisons
+// operate on.
+func (v Verdict) PhishProb() float64 {
+	if v.Label == dataset.Phishing {
+		return v.Confidence
+	}
+	return 1 - v.Confidence
+}
+
+// String implements fmt.Stringer.
+func (v Verdict) String() string {
+	return fmt.Sprintf("%s (%.1f%% by %s)", v.Label, v.Confidence*100, v.ModelName)
 }
 
 // Scorer judges one deployed bytecode. Implementations must be safe for
-// concurrent use — the score pool calls from many goroutines. The root
-// package adapts *phishinghook.Detector onto this.
+// concurrent use — the score pool calls from many goroutines.
+// *phishinghook.Detector, *Swappable and *RemoteScorer satisfy it.
 type Scorer interface {
-	ScoreCode(ctx context.Context, code []byte) (Verdict, error)
+	Score(ctx context.Context, code []byte) (Verdict, error)
 }
 
 // Config tunes a Watcher. An RPC endpoint (RPCURL or RPCURLs) and

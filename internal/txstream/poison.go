@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"github.com/phishinghook/phishinghook/internal/ethrpc"
-	"github.com/phishinghook/phishinghook/internal/monitor"
 )
 
 // maxPoisonEntries bounds the quarantine set so a poisoned storm (a dead
@@ -145,28 +144,9 @@ func (w *Watcher) DrainPoison(ctx context.Context) PoisonDrainResult {
 			continue
 		}
 		res.Scored++
-		w.ctr.txsScored.Add(1)
-		if p := v.PhishProb(); p >= w.cfg.Threshold {
-			alert := monitor.Alert{
-				Address:      tx.To.String(),
-				CodeHash:     codeHashHex(code),
-				Block:        tx.Block,
-				Confidence:   p,
-				Model:        v.Model,
-				ModelVersion: v.Version,
-				Modality:     "tx",
-				TxHash:       tx.HashHex(),
-				Time:         time.Now().UTC(),
-			}
-			for _, s := range w.cfg.Sinks {
-				if serr := s.Emit(alert); serr != nil {
-					w.ctr.errors.Add(1)
-				}
-			}
-			w.ctr.alerts.Add(1)
+		if w.judgeScored(&tx, code, v) {
 			res.Alerted++
 		}
-		w.progress.Judge(tx.Hash, v.Version)
 		w.poison.remove(tx.Hash)
 	}
 	return res

@@ -3,6 +3,7 @@ package txstream
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net/http/httptest"
 	"sync/atomic"
 	"testing"
@@ -15,8 +16,16 @@ import (
 // phishing-side inference faults persistently (every retry exhausted): those
 // txs must land in quarantine unalerted, survive a drain attempt while the
 // fault persists, and then — once the scorer heals — drain with exactly one
-// alert each, leaving the set empty.
+// alert each, leaving the set empty. It runs once with plain healed verdicts
+// and once with evasion-suspect ones, whose flag every drained alert must
+// carry as a first-pass alert would.
 func TestPoisonDrainAlertsFirstAndOnly(t *testing.T) {
+	for _, suspect := range []bool{false, true} {
+		t.Run(fmt.Sprintf("suspect=%v", suspect), func(t *testing.T) { testPoisonDrain(t, suspect) })
+	}
+}
+
+func testPoisonDrain(t *testing.T, suspect bool) {
 	c := testTxChain(t, 200)
 	srv := httptest.NewServer(ethrpc.NewServer(c, 1))
 	defer srv.Close()
@@ -24,13 +33,15 @@ func TestPoisonDrainAlertsFirstAndOnly(t *testing.T) {
 	errModel := errors.New("calldata model faulted")
 	var healed atomic.Bool
 	flaky := txScorer(func(_ context.Context, calldata, _ []byte) (TxVerdict, error) {
-		if parityPhish(calldata) && !healed.Load() {
+		if !parityPhish(calldata) {
+			return parityVerdict(false), nil
+		}
+		if !healed.Load() {
 			return TxVerdict{}, errModel
 		}
-		if parityPhish(calldata) {
-			return TxVerdict{Phishing: true, Confidence: 0.9, Model: "parity", Version: "v1"}, nil
-		}
-		return TxVerdict{Phishing: false, Confidence: 0.9, Model: "parity", Version: "v1"}, nil
+		v := parityVerdict(true)
+		v.EvasionSuspect = suspect
+		return v, nil
 	})
 
 	sink := &collectSink{}
@@ -93,6 +104,9 @@ func TestPoisonDrainAlertsFirstAndOnly(t *testing.T) {
 	for _, a := range sink.snapshot() {
 		if a.Modality != "tx" || a.TxHash == "" {
 			t.Fatalf("drained alert missing tx attribution: %+v", a)
+		}
+		if a.EvasionSuspect != suspect {
+			t.Fatalf("drained alert evasion_suspect = %v, want the healed verdict's %v: %+v", a.EvasionSuspect, suspect, a)
 		}
 		got[a.TxHash]++
 	}

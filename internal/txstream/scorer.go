@@ -23,41 +23,22 @@ import (
 	"fmt"
 	"sync/atomic"
 
+	"github.com/phishinghook/phishinghook/internal/dataset"
 	"github.com/phishinghook/phishinghook/internal/monitor"
 )
 
-// TxVerdict is one fused transaction decision.
+// TxVerdict is one fused transaction decision. The embedded Verdict holds
+// the fused label and confidence and the scoring model(s), plus the code
+// half's lifecycle version and evasion telemetry (zero for EOA callees or an
+// unhardened detector; calldata has no reachability notion, so the payload
+// half contributes none).
 type TxVerdict struct {
-	// Phishing reports the fused predicted class.
-	Phishing bool
-	// Confidence is the confidence in the predicted label (the root
-	// Verdict convention: P(phishing) when Phishing, else 1−P).
-	Confidence float64
+	monitor.Verdict
 	// PayloadProb is P(phishing | calldata) — 0 for empty calldata (a plain
 	// value transfer carries no payload evidence).
 	PayloadProb float64
 	// CodeProb is P(phishing | callee bytecode) — 0 for EOA callees.
 	CodeProb float64
-	// Model names the scoring model(s).
-	Model string
-	// Version is the lifecycle version behind the code score (the
-	// hot-swappable half of the fusion).
-	Version string
-	// DeadCodeRatio, ScoreDivergence and EvasionSuspect relay the code
-	// side's evasion telemetry (zero for EOA callees or an unhardened
-	// detector). Calldata has no reachability notion, so the payload half
-	// contributes nothing here.
-	DeadCodeRatio   float64
-	ScoreDivergence float64
-	EvasionSuspect  bool
-}
-
-// PhishProb recovers the fused P(phishing).
-func (v TxVerdict) PhishProb() float64 {
-	if v.Phishing {
-		return v.Confidence
-	}
-	return 1 - v.Confidence
 }
 
 // Scorer judges one transaction: its calldata plus its callee's deployed
@@ -65,14 +46,6 @@ func (v TxVerdict) PhishProb() float64 {
 // concurrent use.
 type Scorer interface {
 	ScoreTx(ctx context.Context, calldata, code []byte) (TxVerdict, error)
-}
-
-// phishProb converts a monitor verdict's label-confidence to P(phishing).
-func phishProb(v monitor.Verdict) float64 {
-	if v.Phishing {
-		return v.Confidence
-	}
-	return 1 - v.Confidence
 }
 
 // modelCombo caches the fused display name so the steady-state score path
@@ -119,41 +92,35 @@ func (f *Fused) fusedModel(payload, code string) string {
 // ScoreTx implements Scorer.
 func (f *Fused) ScoreTx(ctx context.Context, calldata, code []byte) (TxVerdict, error) {
 	var out TxVerdict
-	var payloadModel, codeModel string
+	var payloadModel string
 	if len(calldata) > 0 {
-		pv, err := f.payload.ScoreCode(ctx, calldata)
+		pv, err := f.payload.Score(ctx, calldata)
 		if err != nil {
 			return out, fmt.Errorf("txstream: payload score: %w", err)
 		}
-		out.PayloadProb = phishProb(pv)
-		payloadModel = pv.Model
+		out.PayloadProb = pv.PhishProb()
+		payloadModel = pv.ModelName
 	}
 	if len(code) > 0 {
-		cv, err := f.code.ScoreCode(ctx, code)
+		cv, err := f.code.Score(ctx, code)
 		if err != nil {
 			return out, fmt.Errorf("txstream: code score: %w", err)
 		}
-		out.CodeProb = phishProb(cv)
-		codeModel = cv.Model
-		out.Version = cv.Version
-		out.DeadCodeRatio = cv.DeadCodeRatio
-		out.ScoreDivergence = cv.ScoreDivergence
-		out.EvasionSuspect = cv.EvasionSuspect
+		// The code half's model, version and telemetry carry over; the
+		// label and confidence are replaced by the fused ones below.
+		out.Verdict = cv
+		out.CodeProb = cv.PhishProb()
 	}
 	fused := 1 - (1-out.PayloadProb)*(1-out.CodeProb)
-	out.Phishing = fused >= 0.5
-	if out.Phishing {
-		out.Confidence = fused
-	} else {
-		out.Confidence = 1 - fused
+	out.Label, out.Confidence = dataset.Benign, 1-fused
+	if fused >= 0.5 {
+		out.Label, out.Confidence = dataset.Phishing, fused
 	}
 	switch {
-	case payloadModel != "" && codeModel != "":
-		out.Model = f.fusedModel(payloadModel, codeModel)
+	case payloadModel != "" && out.ModelName != "":
+		out.ModelName = f.fusedModel(payloadModel, out.ModelName)
 	case payloadModel != "":
-		out.Model = payloadModel
-	default:
-		out.Model = codeModel
+		out.ModelName = payloadModel
 	}
 	return out, nil
 }

@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"github.com/phishinghook/phishinghook/internal/chain"
+	"github.com/phishinghook/phishinghook/internal/dataset"
 	"github.com/phishinghook/phishinghook/internal/ethrpc"
 	"github.com/phishinghook/phishinghook/internal/monitor"
 	"github.com/phishinghook/phishinghook/internal/synth"
@@ -29,14 +30,14 @@ type stubCodeScorer struct {
 	calls atomic.Int64
 }
 
-func (s *stubCodeScorer) ScoreCode(_ context.Context, _ []byte) (monitor.Verdict, error) {
+func (s *stubCodeScorer) Score(_ context.Context, _ []byte) (monitor.Verdict, error) {
 	s.calls.Add(1)
 	return s.v, nil
 }
 
 func TestFusedNoisyOR(t *testing.T) {
-	payload := &stubCodeScorer{v: monitor.Verdict{Phishing: true, Confidence: 0.9, Model: "pay"}}
-	code := &stubCodeScorer{v: monitor.Verdict{Phishing: false, Confidence: 0.8, Model: "code", Version: "v3"}}
+	payload := &stubCodeScorer{v: monitor.Verdict{Label: dataset.Phishing, Confidence: 0.9, ModelName: "pay"}}
+	code := &stubCodeScorer{v: monitor.Verdict{Label: dataset.Benign, Confidence: 0.8, ModelName: "code", ModelVersion: "v3"}}
 	f, err := NewFused(payload, code)
 	if err != nil {
 		t.Fatalf("NewFused: %v", err)
@@ -51,17 +52,17 @@ func TestFusedNoisyOR(t *testing.T) {
 	if math.Abs(v.PayloadProb-0.9) > 1e-12 || math.Abs(v.CodeProb-0.2) > 1e-12 {
 		t.Fatalf("component probs = %v / %v, want 0.9 / 0.2", v.PayloadProb, v.CodeProb)
 	}
-	if !v.Phishing || math.Abs(v.PhishProb()-0.92) > 1e-12 {
+	if !v.IsPhishing() || math.Abs(v.PhishProb()-0.92) > 1e-12 {
 		t.Fatalf("fused = %+v, want phishing at 0.92", v)
 	}
-	if v.Model != "pay+code" || v.Version != "v3" {
-		t.Fatalf("attribution = %q@%q, want pay+code@v3", v.Model, v.Version)
+	if v.ModelName != "pay+code" || v.ModelVersion != "v3" {
+		t.Fatalf("attribution = %q@%q, want pay+code@v3", v.ModelName, v.ModelVersion)
 	}
 }
 
 func TestFusedSkipsEmptySides(t *testing.T) {
-	payload := &stubCodeScorer{v: monitor.Verdict{Phishing: true, Confidence: 0.9, Model: "pay"}}
-	code := &stubCodeScorer{v: monitor.Verdict{Phishing: true, Confidence: 0.7, Model: "code"}}
+	payload := &stubCodeScorer{v: monitor.Verdict{Label: dataset.Phishing, Confidence: 0.9, ModelName: "pay"}}
+	code := &stubCodeScorer{v: monitor.Verdict{Label: dataset.Phishing, Confidence: 0.7, ModelName: "code"}}
 	f, err := NewFused(payload, code)
 	if err != nil {
 		t.Fatalf("NewFused: %v", err)
@@ -77,7 +78,7 @@ func TestFusedSkipsEmptySides(t *testing.T) {
 	if payload.calls.Load() != 0 {
 		t.Fatal("payload scorer invoked on empty calldata")
 	}
-	if v.PayloadProb != 0 || math.Abs(v.PhishProb()-0.7) > 1e-12 || v.Model != "code" {
+	if v.PayloadProb != 0 || math.Abs(v.PhishProb()-0.7) > 1e-12 || v.ModelName != "code" {
 		t.Fatalf("code-only verdict = %+v", v)
 	}
 
@@ -86,7 +87,7 @@ func TestFusedSkipsEmptySides(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ScoreTx(nil code): %v", err)
 	}
-	if v.CodeProb != 0 || math.Abs(v.PhishProb()-0.9) > 1e-12 || v.Model != "pay" {
+	if v.CodeProb != 0 || math.Abs(v.PhishProb()-0.9) > 1e-12 || v.ModelName != "pay" {
 		t.Fatalf("payload-only verdict = %+v", v)
 	}
 
@@ -95,14 +96,14 @@ func TestFusedSkipsEmptySides(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ScoreTx(nil, nil): %v", err)
 	}
-	if v.Phishing || v.PhishProb() != 0 {
+	if v.IsPhishing() || v.PhishProb() != 0 {
 		t.Fatalf("evidence-free verdict = %+v, want benign at 0", v)
 	}
 }
 
 func TestFusedScoreTxZeroAlloc(t *testing.T) {
-	payload := &stubCodeScorer{v: monitor.Verdict{Phishing: true, Confidence: 0.9, Model: "pay"}}
-	code := &stubCodeScorer{v: monitor.Verdict{Phishing: false, Confidence: 0.6, Model: "code", Version: "v1"}}
+	payload := &stubCodeScorer{v: monitor.Verdict{Label: dataset.Phishing, Confidence: 0.9, ModelName: "pay"}}
+	code := &stubCodeScorer{v: monitor.Verdict{Label: dataset.Benign, Confidence: 0.6, ModelName: "code", ModelVersion: "v1"}}
 	f, err := NewFused(payload, code)
 	if err != nil {
 		t.Fatalf("NewFused: %v", err)
@@ -136,12 +137,19 @@ func parityPhish(calldata []byte) bool {
 	return len(calldata) > 0 && calldata[len(calldata)-1]%2 == 0
 }
 
+// parityVerdict is the parity scorer's answer: phishing or benign at
+// confidence 0.9.
+func parityVerdict(phishing bool) TxVerdict {
+	v := TxVerdict{Verdict: monitor.Verdict{Label: dataset.Benign, Confidence: 0.9, ModelName: "parity", ModelVersion: "v1"}}
+	if phishing {
+		v.Label = dataset.Phishing
+	}
+	return v
+}
+
 func parityScorer() Scorer {
 	return txScorer(func(_ context.Context, calldata, _ []byte) (TxVerdict, error) {
-		if parityPhish(calldata) {
-			return TxVerdict{Phishing: true, Confidence: 0.9, Model: "parity", Version: "v1"}, nil
-		}
-		return TxVerdict{Phishing: false, Confidence: 0.9, Model: "parity", Version: "v1"}, nil
+		return parityVerdict(parityPhish(calldata)), nil
 	})
 }
 

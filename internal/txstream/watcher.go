@@ -422,6 +422,14 @@ func (w *Watcher) judgeTx(ctx context.Context, feed *ethrpc.TxFeed, tx *ethrpc.P
 		return
 	}
 
+	w.judgeScored(tx, code, v)
+}
+
+// judgeScored counts a scored tx, alerts when its fused P(phishing) clears
+// the threshold, and marks its hash judged; it reports whether it alerted.
+// judgeTx and DrainPoison both settle a verdict here, so a drained alert
+// carries every field a first-pass alert does.
+func (w *Watcher) judgeScored(tx *ethrpc.PendingTx, code []byte, v TxVerdict) (alerted bool) {
 	w.ctr.txsScored.Add(1)
 	if p := v.PhishProb(); p >= w.cfg.Threshold {
 		alert := monitor.Alert{
@@ -429,8 +437,8 @@ func (w *Watcher) judgeTx(ctx context.Context, feed *ethrpc.TxFeed, tx *ethrpc.P
 			CodeHash:       codeHashHex(code),
 			Block:          tx.Block,
 			Confidence:     p,
-			Model:          v.Model,
-			ModelVersion:   v.Version,
+			Model:          v.ModelName,
+			ModelVersion:   v.ModelVersion,
 			Modality:       "tx",
 			TxHash:         tx.HashHex(),
 			EvasionSuspect: v.EvasionSuspect,
@@ -442,8 +450,10 @@ func (w *Watcher) judgeTx(ctx context.Context, feed *ethrpc.TxFeed, tx *ethrpc.P
 			}
 		}
 		w.ctr.alerts.Add(1)
+		alerted = true
 	}
-	w.progress.Judge(tx.Hash, v.Version)
+	w.progress.Judge(tx.Hash, v.ModelVersion)
+	return alerted
 }
 
 // calleeCode resolves the callee's deployed bytecode through the LRU; nil

@@ -33,6 +33,8 @@ type (
 	TxScoreRequest = httpapi.TxScoreRequest
 )
 
+// toWire and fromWire are the one mapping between a Verdict and its wire
+// form, each way; txToWire adds the tx fields to toWire's.
 func toWire(v Verdict) ScoreVerdict {
 	return ScoreVerdict{
 		Label:           v.Label.String(),
@@ -46,24 +48,26 @@ func toWire(v Verdict) ScoreVerdict {
 	}
 }
 
-func txToWire(v TxVerdict) ScoreVerdict {
+func fromWire(w ScoreVerdict) Verdict {
 	label := Benign
-	if v.Phishing {
+	if w.Phishing {
 		label = Phishing
 	}
-	return ScoreVerdict{
-		Label:           label.String(),
-		Phishing:        v.Phishing,
-		Confidence:      v.Confidence,
-		Model:           v.Model,
-		ModelVersion:    v.Version,
-		Modality:        "tx",
-		PayloadProb:     v.PayloadProb,
-		CodeProb:        v.CodeProb,
-		DeadCodeRatio:   v.DeadCodeRatio,
-		ScoreDivergence: v.ScoreDivergence,
-		EvasionSuspect:  v.EvasionSuspect,
+	return Verdict{
+		Label:           label,
+		Confidence:      w.Confidence,
+		ModelName:       w.Model,
+		ModelVersion:    w.ModelVersion,
+		DeadCodeRatio:   w.DeadCodeRatio,
+		ScoreDivergence: w.ScoreDivergence,
+		EvasionSuspect:  w.EvasionSuspect,
 	}
+}
+
+func txToWire(v TxVerdict) ScoreVerdict {
+	w := toWire(v.Verdict)
+	w.Modality, w.PayloadProb, w.CodeProb = "tx", v.PayloadProb, v.CodeProb
+	return w
 }
 
 // ScoreBackend is the surface NewScoreHandler serves: both *Detector (one

@@ -45,7 +45,7 @@ func NewFusedTxScorer(payload, code CodeScorer) (*txstream.Fused, error) {
 	if payload == nil || code == nil {
 		return nil, fmt.Errorf("phishinghook: NewFusedTxScorer needs payload and code scorers")
 	}
-	return txstream.NewFused(codeScorer{payload}, codeScorer{code})
+	return txstream.NewFused(payload, code)
 }
 
 // NewTxWatcher builds a transaction watcher over a fused (or custom) tx

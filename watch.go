@@ -39,35 +39,11 @@ type (
 	BackfillStats = monitor.BackfillStats
 	// EndpointStats is one RPC endpoint's AIMD/health/throughput snapshot.
 	EndpointStats = ethrpc.EndpointStats
+	// CodeScorer is the scoring surface a watcher drives: *Detector (one
+	// immutable model), *Swappable (the lifecycle handle, hot-swappable
+	// under live traffic) and *RemoteScorer (a scoring cluster) satisfy it.
+	CodeScorer = monitor.Scorer
 )
-
-// CodeScorer is the scoring surface a watcher drives: both *Detector (one
-// immutable model) and *Swappable (the lifecycle handle, hot-swappable under
-// live traffic) satisfy it.
-type CodeScorer interface {
-	Score(ctx context.Context, code []byte) (Verdict, error)
-}
-
-// codeScorer adapts a CodeScorer onto the monitor's Scorer contract,
-// forwarding the model version so alerts and checkpoints stay attributable
-// across swaps.
-type codeScorer struct{ s CodeScorer }
-
-func (a codeScorer) ScoreCode(ctx context.Context, code []byte) (monitor.Verdict, error) {
-	v, err := a.s.Score(ctx, code)
-	if err != nil {
-		return monitor.Verdict{}, err
-	}
-	return monitor.Verdict{
-		Phishing:        v.IsPhishing(),
-		Confidence:      v.Confidence,
-		Model:           v.ModelName,
-		Version:         v.ModelVersion,
-		DeadCodeRatio:   v.DeadCodeRatio,
-		ScoreDivergence: v.ScoreDivergence,
-		EvasionSuspect:  v.EvasionSuspect,
-	}, nil
-}
 
 // NewWatcher builds a Watchtower watcher that scores new deployments through
 // the given surface — a *Detector, or a *Swappable handle so the serving
@@ -78,7 +54,7 @@ func NewWatcher(s CodeScorer, cfg WatcherConfig) (*Watcher, error) {
 	if s == nil {
 		return nil, fmt.Errorf("phishinghook: NewWatcher needs a scorer")
 	}
-	return monitor.New(codeScorer{s}, cfg)
+	return monitor.New(s, cfg)
 }
 
 // NewBackfill builds a backfill scanner that scores every historical
@@ -91,7 +67,7 @@ func NewBackfill(s CodeScorer, cfg BackfillConfig) (*Backfill, error) {
 	if s == nil {
 		return nil, fmt.Errorf("phishinghook: NewBackfill needs a scorer")
 	}
-	return monitor.NewBackfill(codeScorer{s}, cfg)
+	return monitor.NewBackfill(s, cfg)
 }
 
 // NewJSONLSink wraps a writer that receives one JSON alert per line.

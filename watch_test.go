@@ -16,21 +16,21 @@ import (
 	"github.com/phishinghook/phishinghook/internal/monitor"
 )
 
-// countingScorer wraps the detector adapter and counts scores per unique
-// bytecode — the exactly-once oracle for the live-watch tests.
+// countingScorer wraps a scorer and counts scores per unique bytecode — the
+// exactly-once oracle for the live-watch tests.
 type countingScorer struct {
-	inner monitor.Scorer
+	inner CodeScorer
 
 	mu     sync.Mutex
 	counts map[[32]byte]int
 }
 
-func (c *countingScorer) ScoreCode(ctx context.Context, code []byte) (monitor.Verdict, error) {
+func (c *countingScorer) Score(ctx context.Context, code []byte) (Verdict, error) {
 	h := sha256.Sum256(code)
 	c.mu.Lock()
 	c.counts[h]++
 	c.mu.Unlock()
-	return c.inner.ScoreCode(ctx, code)
+	return c.inner.Score(ctx, code)
 }
 
 func (c *countingScorer) maxCount() (max int) {
@@ -77,7 +77,7 @@ func TestWatchLiveChainEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	scorer := &countingScorer{inner: codeScorer{det}, counts: make(map[[32]byte]int)}
+	scorer := &countingScorer{inner: det, counts: make(map[[32]byte]int)}
 
 	var alertMu sync.Mutex
 	var alerts []Alert
