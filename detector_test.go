@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
@@ -408,9 +409,9 @@ func TestLoadDetectorRejectsGarbage(t *testing.T) {
 
 // TestLoadDetectorCorruptAndTruncated feeds LoadDetector every truncation
 // prefix class and systematic byte corruption of a valid save: it must
-// return an error (or, for corruption that misses the learned state, a
-// working detector) and never panic — a model store serves these bytes to
-// production processes.
+// return an error, or, for corruption that misses the learned state, a
+// detector that scores the whole corpus without a panic and within a
+// deadline. A model store serves these bytes to production processes.
 func TestLoadDetectorCorruptAndTruncated(t *testing.T) {
 	ds, _ := testCorpus(t)
 	spec, err := ModelByName("Random Forest")
@@ -427,30 +428,61 @@ func TestLoadDetectorCorruptAndTruncated(t *testing.T) {
 	}
 	blob := buf.Bytes()
 
-	load := func(t *testing.T, b []byte) (err error) {
+	load := func(t *testing.T, b []byte) (det *Detector, err error) {
 		t.Helper()
 		defer func() {
 			if r := recover(); r != nil {
 				t.Fatalf("LoadDetector panicked: %v", r)
 			}
 		}()
-		_, err = LoadDetector(bytes.NewReader(b))
-		return err
+		return LoadDetector(bytes.NewReader(b))
+	}
+	// score runs det over the corpus on a goroutine of its own, so a tree
+	// walk that never ends fails the test at the deadline instead of
+	// hanging it.
+	score := func(t *testing.T, det *Detector) error {
+		t.Helper()
+		done := make(chan error, 1)
+		go func() {
+			defer func() {
+				if r := recover(); r != nil {
+					done <- fmt.Errorf("panic: %v", r)
+				}
+			}()
+			for _, s := range ds.Samples {
+				if _, err := det.Score(context.Background(), s.Bytecode); err != nil {
+					done <- err
+					return
+				}
+			}
+			done <- nil
+		}()
+		select {
+		case err := <-done:
+			return err
+		case <-time.After(20 * time.Second):
+			return errors.New("scoring did not finish within 20 s")
+		}
 	}
 
 	// Truncations at every region of the envelope: empty, header, half,
 	// all-but-the-tail.
 	for _, n := range []int{0, 1, 16, len(blob) / 4, len(blob) / 2, len(blob) - 1} {
-		if err := load(t, blob[:n]); err == nil {
+		if _, err := load(t, blob[:n]); err == nil {
 			t.Fatalf("truncated input (%d of %d bytes) must fail", n, len(blob))
 		}
 	}
 	// Byte corruption across the blob. A flip can land in slack the decoder
-	// never reads — a clean load is acceptable there — but a panic never is.
+	// never reads — a clean load is acceptable there — but a panic never is,
+	// at load or at score time.
 	for off := 0; off < len(blob); off += len(blob)/97 + 1 {
 		mut := append([]byte(nil), blob...)
 		mut[off] ^= 0xFF
-		_ = load(t, mut)
+		if loaded, err := load(t, mut); err == nil {
+			if err := score(t, loaded); err != nil {
+				t.Fatalf("flip at byte %d of %d loaded, then scoring failed: %v", off, len(blob), err)
+			}
+		}
 	}
 }
 

@@ -113,13 +113,13 @@ func (t *regTree) predict(x []float64) float64 {
 }
 
 // Model is a trained boosted ensemble. trees is the canonical (serialized)
-// form; inference runs over a flattened struct-of-arrays copy built once
-// after training or deserialization.
+// form; inference runs over a packed copy built once after training or
+// deserialization.
 type Model struct {
-	cfg   Config
-	trees []regTree
-	base  float64 // initial log-odds
-	flat  *ensemble.Flat
+	cfg    Config
+	trees  []regTree
+	base   float64 // initial log-odds
+	layout *ensemble.Layout
 }
 
 // Fit trains a boosted classifier on X (n×d) with binary labels y.
@@ -177,7 +177,10 @@ func Fit(X [][]float64, y []int, cfg Config) *Model {
 			margins[i] += cfg.LearningRate * t.predict(X[i])
 		})
 	}
-	m.flat = flattenTrees(m.trees)
+	var err error
+	if m.layout, err = pack(m.trees); err != nil {
+		panic(fmt.Sprintf("boost: fitted model does not pack: %v", err))
+	}
 	return m
 }
 
@@ -199,15 +202,11 @@ func sampleRows(n int, frac float64, rng *rand.Rand) []int {
 
 // PredictProba returns P(y=1|x).
 func (m *Model) PredictProba(x []float64) float64 {
-	if m.flat != nil {
-		return mat.Sigmoid(m.flat.Margin(x, m.base, m.cfg.LearningRate))
-	}
-	s := m.base
-	for _, t := range m.trees {
-		s += m.cfg.LearningRate * t.predict(x)
-	}
-	return mat.Sigmoid(s)
+	return mat.Sigmoid(m.layout.Margin(x, m.base, m.cfg.LearningRate))
 }
+
+// Width returns 1 + the largest feature index a split reads.
+func (m *Model) Width() int { return m.layout.Width() }
 
 // Predict thresholds PredictProba at 0.5.
 func (m *Model) Predict(x []float64) int {

@@ -7,22 +7,16 @@ import (
 	"github.com/phishinghook/phishinghook/internal/ml/ensemble"
 )
 
-// flattenTrees builds the shared struct-of-arrays inference layout from the
-// per-tree form (see internal/ml/ensemble).
-func flattenTrees(trees []regTree) *ensemble.Flat {
-	total := 0
-	for i := range trees {
-		total += len(trees[i].nodes)
+// pack builds the shared inference layout from the per-tree form (see
+// internal/ml/ensemble).
+func pack(trees []regTree) (*ensemble.Layout, error) {
+	sizes := make([]int, len(trees))
+	for k := range trees {
+		sizes[k] = len(trees[k].nodes)
 	}
-	fe := ensemble.NewFlat(total, len(trees))
-	for i := range trees {
-		nodes := trees[i].nodes
-		fe.AddTree(len(nodes), func(j int) (int, float64, int, int, float64) {
-			nd := &nodes[j]
-			return nd.Feature, nd.Threshold, nd.Left, nd.Right, nd.Value
-		})
-	}
-	return fe
+	return ensemble.Pack(sizes, func(k, i int) ensemble.Node {
+		return ensemble.Node(trees[k].nodes[i])
+	})
 }
 
 // parallelFor runs fn(i) for i in [0,n) across GOMAXPROCS goroutines,

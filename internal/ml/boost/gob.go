@@ -3,6 +3,7 @@ package boost
 import (
 	"bytes"
 	"encoding/gob"
+	"fmt"
 )
 
 // nodeState mirrors the unexported regression-tree node for gob.
@@ -43,17 +44,21 @@ func (m *Model) GobDecode(data []byte) error {
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&s); err != nil {
 		return err
 	}
-	m.cfg, m.base = s.Cfg, s.Base
-	m.trees = make([]regTree, len(s.Trees))
+	trees := make([]regTree, len(s.Trees))
 	for i, ns := range s.Trees {
 		nodes := make([]node, len(ns))
 		for j, nd := range ns {
 			nodes[j] = node(nd)
 		}
-		m.trees[i] = regTree{nodes: nodes}
+		trees[i] = regTree{nodes: nodes}
 	}
-	// Wire format predates the flattened inference layout; rebuild it here
-	// so older saved detectors score identically but faster.
-	m.flat = flattenTrees(m.trees)
+	// The wire format predates the packed inference layout; it is rebuilt
+	// here, so older saved detectors score identically, and trees it cannot
+	// pack are refused.
+	layout, err := pack(trees)
+	if err != nil {
+		return fmt.Errorf("boost: decode model: %w", err)
+	}
+	m.cfg, m.base, m.trees, m.layout = s.Cfg, s.Base, trees, layout
 	return nil
 }

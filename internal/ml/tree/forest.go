@@ -27,12 +27,12 @@ type ForestConfig struct {
 }
 
 // Forest is a trained random forest. TreeList is the canonical (serialized,
-// SHAP-visible) form; inference runs over a flattened struct-of-arrays copy
-// built once after training or deserialization.
+// SHAP-visible) form; inference runs over a packed copy built once after
+// training or deserialization.
 type Forest struct {
 	TreeList []*Tree
 	nFeat    int
-	flat     *ensemble.Flat
+	layout   *ensemble.Layout
 }
 
 // FitForest trains a random forest with bootstrap aggregation. Trees are
@@ -75,21 +75,32 @@ func FitForest(X [][]float64, y []int, cfg ForestConfig) *Forest {
 			f.TreeList[k] = b.fit(y)
 		}
 	})
-	f.flat = flatten(f.TreeList)
+	var err error
+	if f.layout, err = pack(f.TreeList); err != nil {
+		panic(fmt.Sprintf("tree: fitted forest does not pack: %v", err))
+	}
 	return f
+}
+
+// pack builds the inference layout from the pointer-tree form.
+func pack(trees []*Tree) (*ensemble.Layout, error) {
+	sizes := make([]int, len(trees))
+	for k, t := range trees {
+		sizes[k] = len(t.Nodes)
+	}
+	return ensemble.Pack(sizes, func(k, i int) ensemble.Node {
+		nd := &trees[k].Nodes[i]
+		return ensemble.Node{Feature: nd.Feature, Threshold: nd.Threshold, Left: nd.Left, Right: nd.Right, Value: nd.Value}
+	})
 }
 
 // PredictProba averages tree probabilities for x.
 func (f *Forest) PredictProba(x []float64) float64 {
-	if f.flat != nil {
-		return f.flat.Margin(x, 0, 1) / float64(len(f.flat.Roots))
-	}
-	s := 0.0
-	for _, t := range f.TreeList {
-		s += t.PredictProba(x)
-	}
-	return s / float64(len(f.TreeList))
+	return f.layout.Margin(x, 0, 1) / float64(len(f.TreeList))
 }
+
+// Width returns 1 + the largest feature index a split reads.
+func (f *Forest) Width() int { return f.layout.Width() }
 
 // Predict thresholds PredictProba at 0.5.
 func (f *Forest) Predict(x []float64) int {

@@ -3,6 +3,7 @@ package tree
 import (
 	"bytes"
 	"encoding/gob"
+	"fmt"
 )
 
 // forestState mirrors Forest for gob (nFeat is unexported to keep the
@@ -21,14 +22,18 @@ func (f *Forest) GobEncode() ([]byte, error) {
 }
 
 // GobDecode implements gob.GobDecoder. The wire format is unchanged from
-// before the flattened inference layout — detectors saved by older builds
-// load identically; the flat copy is rebuilt here.
+// before the packed inference layout — detectors saved by older builds load
+// identically; the packed copy is rebuilt here, and trees it cannot pack
+// are refused.
 func (f *Forest) GobDecode(data []byte) error {
 	var s forestState
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&s); err != nil {
 		return err
 	}
-	f.TreeList, f.nFeat = s.Trees, s.NFeat
-	f.flat = flatten(f.TreeList)
+	layout, err := pack(s.Trees)
+	if err != nil {
+		return fmt.Errorf("tree: decode forest: %w", err)
+	}
+	f.TreeList, f.nFeat, f.layout = s.Trees, s.NFeat, layout
 	return nil
 }

@@ -155,15 +155,6 @@ func BenchmarkForestFit(b *testing.B) {
 	}
 }
 
-func BenchmarkForestPredict(b *testing.B) {
-	X, y := blobs(500, 0.8, 1)
-	f := FitForest(X, y, ForestConfig{Trees: 50, Seed: 1})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		f.PredictProba(X[i%len(X)])
-	}
-}
-
 // refBuilder is the split search as it stood before the rank tables: rows
 // are row-major [][]float64 and every node sorts each candidate feature with
 // sort.Slice. It shares no code with the package's builder; it is the oracle
@@ -514,6 +505,25 @@ func BenchmarkFitForest(b *testing.B) {
 		b.Run(s.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				forestSink = FitForest(X, y, ForestConfig{Seed: 1})
+			}
+		})
+	}
+}
+
+var probaSink float64
+
+// BenchmarkForestPredict scores 2,000 held-out rows in turn on the default
+// 100-tree forest fitted to each shape. The rows take different paths, as
+// the bytecodes a detector serves do, so the branch predictor cannot learn
+// one row's walk; run with -benchmem.
+func BenchmarkForestPredict(b *testing.B) {
+	for _, s := range benchShapes {
+		X, y := matrix(s.n, s.d, 1, s.gen)
+		held, _ := matrix(2000, s.d, 2, s.gen)
+		f := FitForest(X, y, ForestConfig{Seed: 1})
+		b.Run(s.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				probaSink = f.PredictProba(held[i%len(held)])
 			}
 		})
 	}

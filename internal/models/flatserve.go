@@ -12,7 +12,7 @@ import (
 // pointer is atomic so a program can be installed while the model serves
 // concurrent traffic. It is deliberately outside the models' gob state —
 // programs are recompiled from the restored weights after UnmarshalBinary,
-// exactly like ensemble.Flat.
+// exactly like ensemble.Layout.
 type flatServing struct {
 	flatProg atomic.Pointer[flat.Program]
 }

@@ -152,6 +152,11 @@ func (m *hscModel) UnmarshalBinary(data []byte) error {
 	if fz.Kind() != m.featKind() {
 		return fmt.Errorf("models: %s: saved featurizer kind %v, want %v", m.name, fz.Kind(), m.featKind())
 	}
+	// A tree ensemble reads x only where its splits say; one split past the
+	// featurizer's vectors would panic at score time.
+	if e, ok := s.Backend.(interface{ Width() int }); ok && e.Width() > fz.Dim() {
+		return fmt.Errorf("models: %s: saved trees split on feature %d of a %d-wide featurizer", m.name, e.Width()-1, fz.Dim())
+	}
 	m.fz = fz
 	m.pred = s.Backend
 	return nil

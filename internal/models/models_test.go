@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"github.com/phishinghook/phishinghook/internal/dataset"
+	"github.com/phishinghook/phishinghook/internal/features"
 	"github.com/phishinghook/phishinghook/internal/synth"
 )
 
@@ -256,4 +257,40 @@ func TestBetaVariantHandlesLongContracts(t *testing.T) {
 		t.Fatal("prediction count mismatch")
 	}
 	_ = rand.Int
+}
+
+// TestHSCUnmarshalRefusesSplitPastFeaturizer: a saved tree ensemble that
+// splits on a feature its featurizer's vectors do not have must fail to
+// load rather than panic at score time.
+func TestHSCUnmarshalRefusesSplitPastFeaturizer(t *testing.T) {
+	train := smallDataset(t, 60, 8)
+	for _, mk := range []func(int64) Classifier{
+		func(seed int64) Classifier { return NewRandomForest(seed) },
+		NewXGBoost,
+	} {
+		m := mk(1).(*hscModel)
+		if err := m.Fit(train); err != nil {
+			t.Fatal(err)
+		}
+		feat, err := features.MarshalFeaturizer(m.fz)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// A back-end fitted on rows one column wider than the featurizer's,
+		// where only that last column varies, splits on it alone.
+		d := m.fz.Dim()
+		X := make([][]float64, 40)
+		y := make([]int, len(X))
+		for i := range X {
+			X[i] = make([]float64, d+1)
+			X[i][d], y[i] = float64(i), i%2
+		}
+		blob, err := encodeState(hscState{Feat: feat, Backend: m.train(X, y)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := mk(1).(Persistable).UnmarshalBinary(blob); err == nil {
+			t.Errorf("%s: a split on feature %d of a %d-wide featurizer loaded", m.Name(), d, d)
+		}
+	}
 }

@@ -1,5 +1,5 @@
 // Package flat compiles trained internal/nn models into forward-only
-// inference programs — the deep-model counterpart of ensemble.Flat.
+// inference programs — the deep-model counterpart of ensemble.Layout.
 //
 // The tape-style nn layers are built for training: every Forward allocates
 // its outputs plus a backward closure. Serving needs none of that. A
